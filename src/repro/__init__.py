@@ -57,8 +57,7 @@ Registering a third-party planner is a one-file change — implement the
     PlanningSession().plan(pool=pool, app_work=1.0, method="mine")
 
 The new planner automatically appears in ``repro-deploy plan --method``
-and ``repro-deploy planners``.  The legacy ``plan_deployment`` facade
-still works but is deprecated.
+and ``repro-deploy planners``.
 """
 
 from repro.api import (
@@ -90,7 +89,6 @@ from repro.core import (
     chain_deployment,
     default_middle_agents,
     hierarchy_throughput,
-    plan_deployment,
     register_planner,
     star_deployment,
 )
@@ -149,7 +147,6 @@ __all__ = [
     "HierarchyEvaluator",
     "HeuristicPlanner",
     "HomogeneousPlanner",
-    "plan_deployment",
     "star_deployment",
     "balanced_deployment",
     "chain_deployment",

@@ -581,7 +581,9 @@ class PlanningSession:
         :class:`repro.control.policy.ControlPolicy` instance) grow,
         shrink or hold it.  ``migration`` selects how redeploys are
         realized: ``"live"`` (subtree-granular migration inside the
-        running simulation) or ``"restart"`` (stop-the-world rebuild).
+        running simulation, one region at a time), ``"concurrent"``
+        (the same, with independent regions draining in parallel
+        dependency waves) or ``"restart"`` (stop-the-world rebuild).
         Returns the structured
         :class:`repro.control.loop.ControlTimeline`.
 

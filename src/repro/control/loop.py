@@ -2,19 +2,25 @@
 
 :class:`ControlLoop` runs a deployment inside the discrete-event
 simulator under a time-varying :class:`~repro.control.traces.Trace` and
-adapts it epoch by epoch:
+adapts it epoch by epoch, one method per stage:
 
 1. **simulate** — adjust the closed-loop client population to the trace
-   level and advance the engine one epoch;
+   level, inject due faults and advance the engine one epoch;
 2. **observe** — :class:`~repro.control.monitor.SLOMonitor` condenses
    the window (served rate, per-tier utilization, queue depth);
-3. **decide** — the configured policy returns ``hold`` / ``improve`` /
-   ``replan``;
-4. **act** — the loop realizes the decision: ``improve`` runs the
-   prior-work bottleneck-removal mechanism over the spares, ``replan``
-   goes through the planner registry; either way the candidate is priced
-   by the :class:`~repro.control.policy.MigrationCostModel` and a
-   scale-up that cannot amortize its migration downtime is **vetoed**.
+3. **reconcile** — fold observed (or confirmed) damage into the tree the
+   controller plans from;
+4. **decide** — the configured policy returns ``hold`` / ``improve`` /
+   ``replan`` / ...; the loop realizes the decision: ``improve`` runs
+   the prior-work bottleneck-removal mechanism over the spares,
+   ``replan`` goes through the planner registry; either way the
+   candidate is priced by the
+   :class:`~repro.control.policy.MigrationCostModel` and a scale-up that
+   cannot amortize its migration downtime is **vetoed**;
+5. **act** — apply the accepted candidate to the running platform;
+6. **record** — freeze the epoch's metrics into its
+   :class:`EpochRecord`.  With tracing enabled, the epoch's trace
+   records are emitted in one place just before.
 
 Applied redeploys run in one of three migration modes:
 
@@ -31,14 +37,16 @@ Applied redeploys run in one of three migration modes:
     Live migration with the plan's dependency waves
     (:meth:`~repro.deploy.migration.MigrationPlan.concurrent_schedule`)
     executed in parallel: every region of a wave is unlinked at once
-    and the engine advances under interleaved
-    :meth:`~repro.sim.engine.Simulator.run_until_condition` drains —
-    each region reconfigures and resumes the moment *it* goes quiet
+    and each region reconfigures and resumes the moment *it* goes quiet
     (and its config window elapses), while its wave-mates keep
     draining.  Same per-region dark windows, strictly shorter total
     migration window; the applied tree is identical to the serial
     :meth:`~repro.deploy.migration.MigrationPlan.apply`, which the
     equivalence battery asserts.
+
+Both live modes run through one wave executor; they differ only in the
+schedule :meth:`~repro.deploy.migration.MigrationPlan.waves` hands it —
+``live`` is the degenerate schedule of singleton waves in plan order.
 ``migration="restart"``
     The legacy stop-the-world mechanism, kept for comparison: stop the
     clients, advance the clock by the full migration price (in-flight
@@ -117,9 +125,6 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
-
-#: Modes that realize redeploys as in-place subtree migrations.
-_LIVE_MODES = ("live", "concurrent")
 
 
 def _hierarchy_without(hierarchy: Hierarchy, names: set[str]) -> Hierarchy:
@@ -389,6 +394,96 @@ class ControlTimeline:
         )
 
 
+@dataclass
+class _RunState:
+    """Mutable state of one :meth:`ControlLoop.run`, shared by its stages."""
+
+    sim: Simulator
+    completions: IntervalCounter
+    monitor: SLOMonitor
+    system: MiddlewareSystem
+    #: The deployment the controller plans from, its spares and its
+    #: model capacity; reconcile and decide move them.
+    hierarchy: Hierarchy
+    spares: list
+    capacity: float
+    injector: FaultInjector | None
+    #: Hybrid runs only: the trace and the fluid population integrating
+    #: the clients beyond the discrete cohort between event boundaries.
+    hybrid: HybridTrace | None
+    fluid: FluidPopulation | None
+    #: Policies gate their cooldown on ``redeploys > 0``, so the value
+    #: before the first redeploy is immaterial.
+    epochs_since_redeploy: int
+    clients: list = field(default_factory=list)
+    #: Stopped clients whose final request is still in flight; their
+    #: completions land in windows whose ``offered`` no longer counts
+    #: them, so calibration is suppressed until the drain finishes.
+    draining: list = field(default_factory=list)
+    observations: list = field(default_factory=list)
+    records: list = field(default_factory=list)
+    generation: int = 0
+    redeploys: int = 0
+    demand_unit: float = 0.0
+    client_serial: int = 0
+    #: Dead-letter/resubmission/lost totals of the systems replaced by
+    #: stop-the-world restarts (the counters live on the system object).
+    dead_letters_base: int = 0
+    resubmissions_base: int = 0
+    lost_base: int = 0
+
+    def record_completion(self, request) -> None:
+        self.completions.record(self.sim.now)
+
+
+@dataclass
+class _Epoch:
+    """What one epoch's stages produced, filled in stage order."""
+
+    index: int
+    start: float
+    end: float
+    offered: int
+    #: Discrete clients the engine ran (``offered`` unless hybrid).
+    cohort: int
+    # simulate
+    contaminated: bool = False
+    faults: list = field(default_factory=list)
+    # observe
+    observation: WindowObservation | None = None
+    fluid_window: object = None
+    # reconcile
+    detections: list = field(default_factory=list)
+    # decide: the deployment that served the epoch, then the decision
+    capacity: float = 0.0
+    nodes: int = 0
+    spares: int = 0
+    decision: ControlDecision | None = None
+    reason: str = ""
+    candidate: Hierarchy | None = None
+    cost: float = 0.0
+    plan: MigrationPlan | None = None
+    # act
+    act_start: float = 0.0
+    steps: tuple[MigrationStepRecord, ...] = ()
+    #: ``(start, end, regions)`` per executed migration wave.
+    waves: tuple = ()
+    window: float = 0.0
+    dispatched: tuple = ()
+
+    @property
+    def applied(self) -> bool:
+        """Whether the epoch redeployed (a candidate survived decide)."""
+        return self.candidate is not None
+
+    @property
+    def evictions(self) -> tuple:
+        """Servers an applied ``evict`` drained and replaced."""
+        if self.applied and self.decision.action == "evict":
+            return self.decision.targets
+        return ()
+
+
 class ControlLoop:
     """Online autoscaling controller over the simulated platform.
 
@@ -423,10 +518,12 @@ class ControlLoop:
     migration:
         ``"live"`` (default) applies redeploys as subtree-granular
         migrations inside the running simulation — only drained
-        subtrees stop serving; ``"concurrent"`` additionally drains
-        independent regions in parallel (dependency waves), shrinking
-        the migration window; ``"restart"`` keeps the legacy
-        stop-the-world rebuild for comparison.
+        subtrees stop serving; the wave executor runs them as serial
+        waves, one region per wave in plan order.  ``"concurrent"``
+        runs the same executor over the plan's dependency waves, so
+        independent regions drain in parallel and the migration window
+        shrinks.  ``"restart"`` keeps the legacy stop-the-world rebuild
+        for comparison.
     amortize_epochs:
         Scale-up gate: the modeled throughput gain must repay the
         migration downtime within this many epochs.  Live migrations
@@ -524,87 +621,59 @@ class ControlLoop:
         executor: str | object = "inline",
         executor_workers: int | None = None,
     ):
-        if len(pool) < 2:
-            raise ControlError(
-                f"control loop needs a pool of >= 2 nodes, got {len(pool)}"
-            )
-        if not isinstance(trace, Trace):
-            raise ControlError(
-                f"trace must be a control Trace, got {type(trace).__name__}"
-            )
-        if epochs < 1:
-            raise ControlError(f"epochs must be >= 1, got {epochs}")
-        if epoch_duration <= 0.0:
-            raise ControlError(
-                f"epoch_duration must be > 0, got {epoch_duration}"
-            )
-        if not (0.0 < initial_fraction <= 1.0):
-            raise ControlError(
-                f"initial_fraction must be in (0, 1], got {initial_fraction}"
-            )
-        if min_nodes < 2:
-            raise ControlError(f"min_nodes must be >= 2, got {min_nodes}")
-        if amortize_epochs < 1:
-            raise ControlError(
-                f"amortize_epochs must be >= 1, got {amortize_epochs}"
-            )
-        if migration not in MIGRATION_MODES:
-            raise ControlError(
-                f"unknown migration mode {migration!r}; "
-                f"expected one of {MIGRATION_MODES}"
-            )
-        if think_time < 0.0:
-            raise ControlError(
-                f"think_time must be >= 0, got {think_time}"
-            )
+        for valid, problem in (
+            (len(pool) >= 2, f"control loop needs a pool of >= 2 nodes, "
+             f"got {len(pool)}"),
+            (isinstance(trace, Trace), "trace must be a control Trace, "
+             f"got {type(trace).__name__}"),
+            (epochs >= 1, f"epochs must be >= 1, got {epochs}"),
+            (epoch_duration > 0.0,
+             f"epoch_duration must be > 0, got {epoch_duration}"),
+            (0.0 < initial_fraction <= 1.0,
+             f"initial_fraction must be in (0, 1], got {initial_fraction}"),
+            (min_nodes >= 2, f"min_nodes must be >= 2, got {min_nodes}"),
+            (amortize_epochs >= 1,
+             f"amortize_epochs must be >= 1, got {amortize_epochs}"),
+            (migration in MIGRATION_MODES,
+             f"unknown migration mode {migration!r}; "
+             f"expected one of {MIGRATION_MODES}"),
+            (think_time >= 0.0, f"think_time must be >= 0, got {think_time}"),
+        ):
+            if not valid:
+                raise ControlError(problem)
         if isinstance(faults, str):
             faults = fault_spec(faults)
-        if faults is not None and not isinstance(faults, FaultSchedule):
-            raise ControlError(
-                "faults must be a FaultSchedule or a fault-spec string, "
-                f"got {type(faults).__name__}"
-            )
         if isinstance(detection, str):
             detection, spec_reserve = parse_detection(detection)
             if spec_reserve is not None:
                 spare_reserve = spec_reserve
-        if detection is not None and not isinstance(
-            detection, DetectionParams
-        ):
-            raise ControlError(
-                "detection must be DetectionParams or a spec string, "
-                f"got {type(detection).__name__}"
-            )
-        if not 0.0 <= spare_reserve < 1.0:
-            raise ControlError(
-                f"spare_reserve must be in [0, 1), got {spare_reserve}"
-            )
         if obs is None or obs is False:
             obs = NULL_OBS
         elif obs is True:
             obs = Obs()
-        elif not isinstance(obs, Obs):
-            raise ControlError(
-                f"obs must be an Obs handle or a bool, got "
-                f"{type(obs).__name__}"
-            )
-        if isinstance(executor, str):
-            if executor not in EXECUTOR_KINDS:
-                raise ControlError(
-                    f"unknown executor kind {executor!r}; "
-                    f"expected one of {EXECUTOR_KINDS}"
-                )
-        elif not (
-            hasattr(executor, "execute") and hasattr(executor, "close")
+        for valid, problem in (
+            (faults is None or isinstance(faults, FaultSchedule),
+             "faults must be a FaultSchedule or a fault-spec string, "
+             f"got {type(faults).__name__}"),
+            (detection is None or isinstance(detection, DetectionParams),
+             "detection must be DetectionParams or a spec string, "
+             f"got {type(detection).__name__}"),
+            (0.0 <= spare_reserve < 1.0,
+             f"spare_reserve must be in [0, 1), got {spare_reserve}"),
+            (isinstance(obs, Obs), "obs must be an Obs handle or a bool, "
+             f"got {type(obs).__name__}"),
+            (not isinstance(executor, str) or executor in EXECUTOR_KINDS,
+             f"unknown executor kind {executor!r}; "
+             f"expected one of {EXECUTOR_KINDS}"),
+            (isinstance(executor, str) or (
+                hasattr(executor, "execute") and hasattr(executor, "close")
+            ), "executor must be an EXECUTOR_KINDS string or an object "
+             f"with execute()/close(), got {type(executor).__name__}"),
+            (executor_workers is None or executor_workers >= 1,
+             f"executor_workers must be >= 1, got {executor_workers}"),
         ):
-            raise ControlError(
-                "executor must be an EXECUTOR_KINDS string or an object "
-                f"with execute()/close(), got {type(executor).__name__}"
-            )
-        if executor_workers is not None and executor_workers < 1:
-            raise ControlError(
-                f"executor_workers must be >= 1, got {executor_workers}"
-            )
+            if not valid:
+                raise ControlError(problem)
         self.pool = pool
         self.app_work = float(app_work)
         self.trace = trace
@@ -639,34 +708,28 @@ class ControlLoop:
         # Reserve size in nodes, fixed at construction: a fraction of
         # the *full* pool, so attrition cannot silently shrink it.
         self._reserve_target = int(round(self.spare_reserve * len(pool)))
-        # Names of crashed nodes; they leave the usable pool for good.
+        # Names of crashed and of evicted nodes (the controller gave up
+        # on those): both leave the usable pool for good.
         self._failed_names: set[str] = set()
-        # Names of evicted nodes; the controller gave up on them, so
-        # they leave the usable pool exactly like crashed ones.
         self._evicted_names: set[str] = set()
         # node -> injection time of a not-yet-confirmed silent fault
         # (detection accounting only; never consulted by decisions).
         self._pending_injections: dict[str, float] = {}
-        #: The observability handle (the shared null handle when none
-        #: was configured); callers read traces back from
-        #: ``loop.obs.tracer`` after :meth:`run`.
+        #: The observability handle (the shared null handle by default);
+        #: callers read traces back from ``loop.obs.tracer``.
         self.obs = obs
-        # The metrics registry is *always* live — fed exclusively from
-        # deterministic simulation state, so EpochRecord snapshots are
-        # identical whether or not a tracer records.  A configured Obs
-        # brings its own registry; the null handle gets a private one.
+        # The metrics registry is *always* live — fed only from
+        # simulation state, so EpochRecord snapshots do not depend on
+        # tracing.  The null handle gets a private registry.
         self._metrics = (
             obs.metrics if obs.metrics is not None else MetricsRegistry()
         )
-        # Centralized wall-clock accounting for controller bookkeeping
-        # (planning, observing, deciding, pricing): one stopwatch
-        # context manager instead of hand-paired perf_counter deltas,
-        # so new control stages cannot double-count.  Telemetry only.
+        # Wall-clock accounting of controller bookkeeping (planning,
+        # observing, deciding, pricing); telemetry only.
         self._overhead = Stopwatch()
-        # Loop-owned memoizing evaluator for capacity evaluations
-        # (bit-identical to cold hierarchy_throughput); recreated per
-        # run so serial and process-pool sweeps see identical cache
-        # hit-rate metrics.
+        # Memoizing capacity evaluator (bit-identical to cold
+        # hierarchy_throughput), recreated per run so serial and
+        # process-pool sweeps see identical cache hit-rate metrics.
         self._evaluator = HierarchyEvaluator(self.params)
         # The live run's simulator (sim-time source for planner spans).
         self._sim: Simulator | None = None
@@ -677,9 +740,8 @@ class ControlLoop:
         #: for equivalence tests (the timeline itself only carries the
         #: shape signature).
         self.final_hierarchy: Hierarchy | None = None
-        # Memoized demand-free (maximum-capacity) replans, keyed by the
-        # excluded-name set (the repair reserve); reset per run and
-        # whenever attrition shrinks the live pool.
+        # Memoized demand-free replans keyed by the excluded names (the
+        # repair reserve); reset per run and whenever attrition strikes.
         self._capacity_plans: dict[frozenset, object] = {}
 
     # ------------------------------------------------------------------ #
@@ -716,12 +778,30 @@ class ControlLoop:
             self._executor = None
 
     def _run_loop(self) -> ControlTimeline:
+        """Drive the stage pipeline once per epoch."""
+        run = self._start_run()
+        for index in range(self.epochs):
+            epoch = self._simulate(run, index)
+            # observe → reconcile → decide: controller bookkeeping,
+            # accounted by the overhead stopwatch.  The act stage's
+            # simulated migration is the platform's time, not the
+            # controller's, so act accounts only its own bookkeeping.
+            with self._overhead:
+                self._observe(run, epoch)
+                self._reconcile(run, epoch)
+                self._decide(run, epoch)
+            self._act(run, epoch)
+            if self.obs.enabled:
+                self._trace_epoch(run, epoch)
+            self._record(run, epoch)
+        return self._finish_run(run)
+
+    def _start_run(self) -> _RunState:
+        """Reset the per-run state and deploy the initial plan."""
         self._overhead.reset()
         self._metrics.reset()
         self._evaluator = HierarchyEvaluator(self.params)
-        obs = self.obs
-        tracer = obs.tracer
-        tracer.clear()
+        self.obs.tracer.clear()
         self._capacity_plans = {}
         self._failed_names = set()
         self._evicted_names = set()
@@ -733,13 +813,6 @@ class ControlLoop:
         injector = (
             FaultInjector(self.faults) if self.faults is not None else None
         )
-        # Dead-letter/lost/resubmission totals survive stop-the-world
-        # rebuilds: the counters live on the system object, which
-        # restarts replace.
-        dead_letters_base = 0
-        resubmissions_base = 0
-        lost_base = 0
-        params = self.params
         sim = Simulator()
         self._sim = sim
         with self._overhead:
@@ -754,7 +827,7 @@ class ControlLoop:
                 PlanRequest(
                     pool=self.pool.take(initial),
                     app_work=self.app_work,
-                    params=params,
+                    params=self.params,
                     method=self.base_method,
                     seed=self.seed,
                 ),
@@ -767,506 +840,455 @@ class ControlLoop:
             spares = self._spares_for(hierarchy)
             system = self._build_system(sim, hierarchy, generation=0)
             monitor.attach(system)
-            # Model capacity of the live deployment; only changes on
-            # redeploy.
             capacity = self._evaluator.evaluate(
                 hierarchy, self.app_work
             ).throughput
-
-        clients: list[ClosedLoopClient] = []
-        observations: list[WindowObservation] = []
-        records: list[EpochRecord] = []
-        generation = 0
-        redeploys = 0
-        # Policies gate their cooldown on `redeploys > 0`, so the value
-        # before the first redeploy is immaterial.
-        epochs_since_redeploy = self.epochs
-        demand_unit = 0.0
-        client_serial = 0
-        # Hybrid populations: only the sampled cohort runs as discrete
-        # clients; the remainder is integrated analytically between
-        # event boundaries by a fluid population calibrated from the
-        # cohort's own measured per-client rate.
         hybrid = self.trace if isinstance(self.trace, HybridTrace) else None
-        fluid = FluidPopulation() if hybrid is not None else None
-        # Stopped clients whose final request is still in flight; their
-        # completions land in windows whose `offered` no longer counts
-        # them, so calibration is suppressed until the drain finishes.
-        draining: list[ClosedLoopClient] = []
+        return _RunState(
+            sim=sim,
+            completions=completions,
+            monitor=monitor,
+            system=system,
+            hierarchy=hierarchy,
+            spares=spares,
+            capacity=capacity,
+            injector=injector,
+            hybrid=hybrid,
+            fluid=FluidPopulation() if hybrid is not None else None,
+            epochs_since_redeploy=self.epochs,
+        )
 
-        def record_completion(request) -> None:
-            completions.record(sim.now)
+    def _simulate(self, run: _RunState, index: int) -> _Epoch:
+        """Reconcile the client population and advance one epoch.
 
-        for index in range(self.epochs):
-            start = sim.now
-            end = start + self.epoch_duration
-            offered = self.trace.level(start)
+        Fault events due inside the window are injected at their
+        scheduled times; the epoch they landed in records them.
+        """
+        sim = run.sim
+        start = sim.now
+        offered = self.trace.level(start)
+        epoch = _Epoch(
+            index=index,
+            start=start,
+            end=start + self.epoch_duration,
+            offered=offered,
             # The engine only ever runs the cohort; the fluid remainder
-            # (offered - cohort_target) is integrated after the window.
-            cohort_target = (
-                hybrid.cohort_level(start) if hybrid is not None else offered
+            # (offered - cohort) is integrated after the window.
+            cohort=(
+                run.hybrid.cohort_level(start)
+                if run.hybrid is not None
+                else offered
+            ),
+        )
+        clients = run.clients
+        while len(clients) < epoch.cohort:
+            client = ClosedLoopClient(
+                run.system,
+                f"c{run.generation}-{run.client_serial:05d}",
+                think_time=self.think_time,
+                on_complete=run.record_completion,
             )
-            sim_span = (
-                tracer.begin(
-                    start, "epoch", "simulate", index=index, offered=offered
-                )
-                if obs.enabled
-                else -1
+            run.client_serial += 1
+            clients.append(client)
+            client.start()
+        while len(clients) > epoch.cohort:
+            stopped = clients.pop()
+            stopped.stop()
+            run.draining.append(stopped)
+        # A drain finishing mid-window still contaminates it, so the
+        # calibration guard sees the window-start state; the list is
+        # pruned afterwards for the next epoch.
+        epoch.contaminated = bool(run.draining)
+        if run.injector is not None:
+            for event in run.injector.due(epoch.end):
+                if event.at > sim.now:
+                    sim.run_until(event.at)
+                epoch.faults.append(run.injector.apply(event, run.system))
+        sim.run_until(epoch.end)
+        run.draining = [client for client in run.draining if client.active]
+        return epoch
+
+    def _observe(self, run: _RunState, epoch: _Epoch) -> None:
+        """Condense the window into the observation policies decide on."""
+        observation = run.monitor.observe(
+            epoch.index, epoch.start, epoch.end, epoch.cohort
+        )
+        if observation.offered > 0 and not epoch.contaminated:
+            # served/offered never exceeds the rate one unsaturated
+            # client generates (latency only grows with contention), so
+            # the running max is a safe demand-unit estimate — but only
+            # for windows free of drain contamination: clients stopped
+            # by a population shrink complete their final requests
+            # inside windows whose `offered` no longer counts them,
+            # inflating the ratio for as long as the drain lasts.
+            # Calibration waits until every stopped client has gone
+            # quiet; the estimate stays a lower bound.  (Redeploys don't
+            # contaminate: a stop-the-world restart aborts its fleet —
+            # disowned completions are never counted — and a live
+            # migration stops nobody.)
+            run.demand_unit = max(run.demand_unit, observation.per_client_rate)
+        # Fluid advance: the mass not simulated as the cohort is
+        # integrated analytically over the window just run, at the
+        # per-client rate the cohort measured, against the model
+        # capacity the cohort left unused.  The merged observation
+        # (total offered, combined served) is what calibration above
+        # never sees but policies do.
+        if run.fluid is not None:
+            residual = max(0.0, run.capacity - observation.served_rate)
+            epoch.fluid_window = run.fluid.advance(
+                epoch.start, epoch.end, run.hybrid.fluid_level,
+                run.demand_unit, residual,
             )
+            allocation = run.system.assign_fluid_rates(
+                epoch.fluid_window.served_rate
+            )
+            observation = merge_fluid(
+                observation, epoch.fluid_window, epoch.offered, allocation,
+                residual,
+            )
+        epoch.observation = observation
+        run.observations.append(observation)
 
-            # simulate: reconcile the client population, advance one epoch.
-            while len(clients) < cohort_target:
-                client = ClosedLoopClient(
-                    system,
-                    f"c{generation}-{client_serial:05d}",
-                    think_time=self.think_time,
-                    on_complete=record_completion,
+    def _reconcile(self, run: _RunState, epoch: _Epoch) -> None:
+        """Fold observed damage into the deployment the controller
+        plans from."""
+        if self.detection is None:
+            # Oracle health: crash surgery already pruned the dead
+            # subtree out of the running system, so adopt the survivors'
+            # tree; crashed nodes leave the usable pool for good.
+            crashed_nodes = sorted(
+                name
+                for record in epoch.faults
+                if record.applied and record.kind == "crash"
+                for name in record.nodes
+            )
+            if crashed_nodes:
+                self._failed_names.update(crashed_nodes)
+                self._adopt_survivors(run, "crash", epoch.index)
+            if any(
+                record.applied and record.kind != "degrade"
+                for record in epoch.faults
+            ):
+                # Crashes shrink the tree, partitions dark a subtree,
+                # heals light it back up — all change what the model
+                # says the platform can serve.  (Degrades don't touch
+                # the structure; the straggler still reports nominal.)
+                run.capacity = self._effective_capacity(
+                    run.system, run.hierarchy
                 )
-                client_serial += 1
-                clients.append(client)
-                client.start()
-            while len(clients) > cohort_target:
-                stopped = clients.pop()
-                stopped.stop()
-                draining.append(stopped)
-            # A drain finishing mid-window still contaminates it, so the
-            # calibration guard sees the window-start state; the list is
-            # pruned afterwards for the next epoch.
-            window_contaminated = bool(draining)
-            faults_this_epoch: list[FaultRecord] = []
-            if injector is not None:
-                for event in injector.due(end):
-                    if event.at > sim.now:
-                        sim.run_until(event.at)
-                    faults_this_epoch.append(injector.apply(event, system))
-            sim.run_until(end)
-            draining = [client for client in draining if client.active]
-            if obs.enabled:
-                tracer.end(end, sim_span)
+            return
+        # Inferred health: faults landed silently, so the tree the
+        # controller plans from only changes when the monitor *confirms*
+        # a death.  Injection times are remembered purely for latency
+        # accounting.
+        for record in epoch.faults:
+            if not record.applied:
+                continue
+            if record.kind in ("crash", "partition"):
+                for name in record.nodes:
+                    self._pending_injections.setdefault(name, record.at)
+            elif record.kind == "heal":
+                for name in record.nodes:
+                    self._pending_injections.pop(name, None)
+        if epoch.observation.failed_nodes:
+            epoch.detections = self._excise_confirmed(
+                run.system, run.monitor, epoch.observation.failed_nodes,
+                epoch.end,
+            )
+        if epoch.detections:
+            for detection in epoch.detections:
+                self._failed_names.update(detection.nodes)
+                for name in detection.nodes:
+                    self._pending_injections.pop(name, None)
+            self._adopt_survivors(run, "detection", epoch.index)
+            run.capacity = self._effective_capacity(run.system, run.hierarchy)
 
-            # observe → reconcile → decide → realize: controller
-            # bookkeeping, accounted by the overhead stopwatch (the
-            # simulated migration below is the platform's time, not the
-            # controller's, so it stays outside the block).
-            with self._overhead:
-                observation = monitor.observe(
-                    index, start, end, cohort_target
-                )
-                if observation.offered > 0 and not window_contaminated:
-                    # served/offered never exceeds the rate one
-                    # unsaturated client generates (latency only grows
-                    # with contention), so the running max is a safe
-                    # demand-unit estimate — but only for windows free
-                    # of drain contamination: clients stopped by a
-                    # population shrink complete their final requests
-                    # inside windows whose `offered` no longer counts
-                    # them, inflating the ratio for as long as the
-                    # drain lasts.  Calibration waits until every
-                    # stopped client has gone quiet; the estimate stays
-                    # a lower bound.  (Redeploys don't contaminate: a
-                    # stop-the-world restart aborts its fleet —
-                    # disowned completions are never counted — and a
-                    # live migration stops nobody.)
-                    demand_unit = max(
-                        demand_unit, observation.per_client_rate
-                    )
+    def _adopt_survivors(self, run: _RunState, reason: str, index: int) -> None:
+        """Plan from the running system's tree after attrition."""
+        run.hierarchy = run.system.hierarchy
+        run.spares = self._spares_for(run.hierarchy)
+        self._capacity_plans.clear()
+        self.deployment_registry.commit(run.hierarchy, reason, epoch=index)
 
-                # Fluid advance: the mass not simulated as the cohort is
-                # integrated analytically over the window just run, at
-                # the per-client rate the cohort measured, against the
-                # model capacity the cohort left unused.  The merged
-                # observation (total offered, combined served) is what
-                # calibration above never sees but policies below do.
-                fluid_window = None
-                if fluid is not None:
-                    residual = max(0.0, capacity - observation.served_rate)
-                    fluid_window = fluid.advance(
-                        start, end, hybrid.fluid_level, demand_unit, residual
-                    )
-                    allocation = system.assign_fluid_rates(
-                        fluid_window.served_rate
-                    )
-                    observation = merge_fluid(
-                        observation, fluid_window, offered, allocation,
-                        residual,
-                    )
-                observations.append(observation)
+    def _decide(self, run: _RunState, epoch: _Epoch) -> None:
+        """Ask the policy, realize its decision into a priced candidate
+        and, when one survives the gates, adopt it as the deployment the
+        controller plans from."""
+        scalable, reserved = self._split_spares(run.spares)
+        context = ControlContext(
+            observations=tuple(run.observations),
+            capacity=run.capacity,
+            deployed_nodes=len(run.hierarchy),
+            pool_size=len(self._live_pool()),
+            spares=len(scalable),
+            min_nodes=self.min_nodes,
+            epoch_duration=self.epoch_duration,
+            next_start=run.sim.now,
+            trace=self.trace,
+            demand_unit=run.demand_unit,
+            redeploys=run.redeploys,
+            epochs_since_redeploy=run.epochs_since_redeploy,
+            repair_spares=len(run.spares) if reserved else 0,
+            server_shares=self._server_shares(run.hierarchy),
+        )
+        decision = epoch.decision = self.policy.decide(context)
+        candidate, epoch.reason, epoch.cost, capacity, epoch.plan = (
+            self._realize(
+                decision, run.hierarchy, scalable, run.capacity,
+                epoch.observation, reserved=reserved,
+            )
+        )
+        # The epoch's record describes the deployment that served it.
+        epoch.capacity = run.capacity
+        epoch.nodes = len(run.hierarchy)
+        epoch.spares = len(run.spares)
+        if candidate is None:
+            return
+        if decision.action == "evict":
+            # The drained server leaves the usable pool for good — the
+            # controller decided it cannot be trusted — and capacity
+            # memos keyed on the old pool go stale with it.
+            self._evicted_names.update(decision.targets)
+            self._capacity_plans.clear()
+        epoch.candidate = candidate
+        run.hierarchy = candidate
+        run.spares = self._spares_for(candidate)
+        run.capacity = capacity
 
-                # reconcile: observed damage is the truth the controller
-                # plans from.
-                detections: list[DetectionRecord] = []
-                if self.detection is None:
-                    # Oracle health: crash surgery already pruned the
-                    # dead subtree out of the running system, so adopt
-                    # the survivors' tree; crashed nodes leave the
-                    # usable pool for good.
-                    crashed_nodes = sorted(
-                        name
-                        for record in faults_this_epoch
-                        if record.applied and record.kind == "crash"
-                        for name in record.nodes
-                    )
-                    if crashed_nodes:
-                        self._failed_names.update(crashed_nodes)
-                        hierarchy = system.hierarchy
-                        spares = self._spares_for(hierarchy)
-                        self._capacity_plans.clear()
-                        self.deployment_registry.commit(
-                            hierarchy, "crash", epoch=index
-                        )
-                    if any(
-                        record.applied and record.kind != "degrade"
-                        for record in faults_this_epoch
-                    ):
-                        # Crashes shrink the tree, partitions dark a
-                        # subtree, heals light it back up — all change
-                        # what the model says the platform can serve.
-                        # (Degrades don't touch the structure; the
-                        # straggler still reports nominal.)
-                        capacity = self._effective_capacity(
-                            system, hierarchy
-                        )
-                else:
-                    # Inferred health: faults landed silently, so the
-                    # tree the controller plans from only changes when
-                    # the monitor *confirms* a death.  Injection times
-                    # are remembered purely for latency accounting.
-                    for record in faults_this_epoch:
-                        if not record.applied:
-                            continue
-                        if record.kind in ("crash", "partition"):
-                            for name in record.nodes:
-                                self._pending_injections.setdefault(
-                                    name, record.at
-                                )
-                        elif record.kind == "heal":
-                            for name in record.nodes:
-                                self._pending_injections.pop(name, None)
-                    if observation.failed_nodes:
-                        detections = self._excise_confirmed(
-                            system, monitor, observation.failed_nodes, end
-                        )
-                    if detections:
-                        for detection in detections:
-                            self._failed_names.update(detection.nodes)
-                            for name in detection.nodes:
-                                self._pending_injections.pop(name, None)
-                        hierarchy = system.hierarchy
-                        spares = self._spares_for(hierarchy)
-                        self._capacity_plans.clear()
-                        self.deployment_registry.commit(
-                            hierarchy, "detection", epoch=index
-                        )
-                        capacity = self._effective_capacity(
-                            system, hierarchy
-                        )
-
-                # decide.
-                scalable, reserved = self._split_spares(spares)
-                context = ControlContext(
-                    observations=tuple(observations),
-                    capacity=capacity,
-                    deployed_nodes=len(hierarchy),
-                    pool_size=len(self._live_pool()),
-                    spares=len(scalable),
-                    min_nodes=self.min_nodes,
-                    epoch_duration=self.epoch_duration,
-                    next_start=sim.now,
-                    trace=self.trace,
-                    demand_unit=demand_unit,
-                    redeploys=redeploys,
-                    epochs_since_redeploy=epochs_since_redeploy,
-                    repair_spares=len(spares) if reserved else 0,
-                    server_shares=self._server_shares(hierarchy),
-                )
-                decision = self.policy.decide(context)
-
-                # act.
-                candidate, reason, predicted_cost, new_capacity, plan = (
-                    self._realize(
-                        decision, hierarchy, scalable, capacity,
-                        observation, reserved=reserved,
-                    )
-                )
-
-                applied = False
-                epoch_capacity = capacity
-                epoch_nodes = len(hierarchy)
-                epoch_spares = len(spares)
-                step_records: tuple[MigrationStepRecord, ...] = ()
-                migration_window = 0.0
-                if candidate is not None:
-                    if decision.action == "evict":
-                        # The drained server leaves the usable pool for
-                        # good — the controller decided it cannot be
-                        # trusted — and capacity memos keyed on the old
-                        # pool go stale with it.
-                        self._evicted_names.update(decision.targets)
-                        self._capacity_plans.clear()
-                    hierarchy = candidate
-                    spares = self._spares_for(hierarchy)
-                    capacity = new_capacity
-            act_start = sim.now
-            dispatched: tuple = ()
-            if candidate is not None:
-                if (
-                    self.migration in _LIVE_MODES
-                    and plan is not None
-                    and plan.is_live
-                ):
-                    # Live: migrate subtree by subtree inside the
-                    # running simulation.  Clients keep looping and the
-                    # undrained part of the platform keeps serving.
-                    # Concurrent mode executes whole dependency waves
-                    # at once instead of one region at a time.
-                    # With an executor configured, the plan first runs
-                    # the master/daemon protocol: serialized commands
-                    # out, acked digests back, and the wire-round-
-                    # tripped plan is what the simulated apply below
-                    # executes — so serialization is load-bearing, not
-                    # decorative.  (Restart plans bypass the protocol:
-                    # stop-the-world is a rebuild, not a command batch.)
-                    if self._executor is not None and plan.regions:
-                        with self._overhead:
-                            plan, dispatched = self._dispatch_commands(
-                                plan, candidate, index
-                            )
-                    migrate_start = sim.now
-                    if self.migration == "concurrent":
-                        step_records = self._apply_concurrent(
-                            sim, system, plan, candidate
-                        )
-                    else:
-                        step_records = self._apply_live(
-                            sim, system, plan, candidate
-                        )
-                    migration_window = sim.now - migrate_start
-                    with self._overhead:
-                        monitor.attach(system)  # fresh busy baselines
-                else:
-                    # Stop-the-world: the old platform's daemons are
-                    # killed, so every in-flight request dies with them
-                    # (aborted clients disown their completions), the
-                    # platform serves nothing for the whole migration
-                    # window, and a fresh client fleet reconnects to the
-                    # rebuilt platform at the next epoch.  This is the
-                    # cost live migration exists to avoid.
-                    for client in clients:
-                        client.abort()
-                    clients = []
-                    restart_start = sim.now
-                    sim.run_until(sim.now + predicted_cost)
-                    migration_window = predicted_cost
-                    step_records = (
-                        MigrationStepRecord(
-                            op="restart",
-                            target="*",
-                            seconds=predicted_cost,
-                            drained_nodes=epoch_nodes,
-                            deployed_nodes=epoch_nodes,
-                            started_at=restart_start,
-                        ),
-                    )
-                    with self._overhead:
-                        dead_letters_base += system.dead_letters
-                        resubmissions_base += system.resubmissions
-                        lost_base += system.lost_conversations
-                        generation += 1
-                        system = self._build_system(
-                            sim, hierarchy, generation
-                        )
-                        monitor.attach(system)
+    def _act(self, run: _RunState, epoch: _Epoch) -> None:
+        """Apply the adopted candidate to the running platform."""
+        if epoch.candidate is None:
+            run.epochs_since_redeploy += 1
+            return
+        epoch.act_start = run.sim.now
+        plan = epoch.plan
+        if plan is not None and plan.is_live:
+            # Live: migrate wave by wave inside the running simulation.
+            # Clients keep looping and the undrained part of the
+            # platform keeps serving.  With an executor configured, the
+            # plan first runs the master/daemon protocol: serialized
+            # commands out, acked digests back, and the wire-round-
+            # tripped plan is what the simulated apply below executes —
+            # so serialization is load-bearing, not decorative.
+            # (Restart plans bypass the protocol: stop-the-world is a
+            # rebuild, not a command batch.)
+            if self._executor is not None and plan.regions:
                 with self._overhead:
-                    # The applied deployment becomes the next registry
-                    # generation — committed *after* the apply, so the
-                    # executors above replayed from the old one.
-                    self.deployment_registry.commit(
-                        hierarchy, decision.action, epoch=index,
-                        command_ids=tuple(
-                            command.command_id for command in dispatched
-                        ),
+                    plan, epoch.dispatched = self._dispatch_commands(
+                        plan, epoch.candidate, epoch.index
                     )
-                redeploys += 1
-                applied = True
-                epochs_since_redeploy = 0
-            else:
-                epochs_since_redeploy += 1
-
-            if obs.enabled:
-                tracer.event(
-                    end, "epoch", "observe",
-                    index=index,
-                    served=observation.served,
-                    queue_depth=observation.queue_depth,
-                    suspects=len(observation.suspect_nodes),
-                )
-                tracer.event(
-                    end, "epoch", "decide",
-                    index=index,
-                    action=decision.action,
-                    applied=applied,
-                )
-                for detection in detections:
-                    tracer.span(
-                        detection.injected_at
-                        if detection.injected_at is not None
-                        else detection.suspected_at,
-                        detection.confirmed_at,
-                        "detection",
-                        detection.node,
-                        latency=detection.latency,
-                        dead_letters=detection.dead_letters,
-                        nodes=len(detection.nodes),
-                    )
-                if applied:
-                    for step in step_records:
-                        tracer.span(
-                            step.started_at,
-                            step.started_at + step.seconds,
-                            "migration",
-                            f"{step.op}:{step.target}",
-                            drained_nodes=step.drained_nodes,
-                            epoch=index,
-                        )
-                    tracer.span(
-                        act_start, sim.now, "epoch", "act",
-                        index=index,
-                        action=decision.action,
-                        steps=len(step_records),
-                    )
-                if applied and dispatched:
-                    # The master/daemon exchange, folded back into the
-                    # epoch: one dispatch marker, then per region a
-                    # command span (outstanding from dispatch until the
-                    # region resumed) closed by an ack event, with flow
-                    # arrows tying each pair together across tracks.
-                    by_root = {
-                        command.root: command for command in dispatched
-                    }
-                    tracer.event(
-                        act_start, "protocol", "dispatch",
-                        epoch=index,
-                        commands=len(dispatched),
-                        generation=dispatched[0].generation,
-                    )
-                    for step in step_records:
-                        command = by_root.get(step.target)
-                        if command is None:
-                            continue
-                        done = step.started_at + step.seconds
-                        tracer.span(
-                            act_start, done, "protocol",
-                            f"command:{step.target}",
-                            command_id=command.command_id,
-                            wave=command.wave,
-                            generation=command.generation,
-                            epoch=index,
-                        )
-                        tracer.event(
-                            done, "protocol", f"ack:{step.target}",
-                            command_id=command.command_id,
-                            epoch=index,
-                        )
-                        tracer.flow(
-                            act_start, "protocol", command.command_id, "s"
-                        )
-                        tracer.flow(
-                            done, "protocol", command.command_id, "f"
-                        )
-                tracer.sample(end, "served_rate", observation.served_rate)
-                tracer.sample(end, "queue_depth", observation.queue_depth)
-                if fluid is not None:
-                    tracer.sample(
-                        end, "fluid_clients", observation.fluid_clients
-                    )
-
-            with self._overhead:
-                snapshot = self._epoch_metrics(
-                    sim=sim,
-                    system=system,
-                    observation=observation,
-                    completions=completions,
-                    dead_letters_base=dead_letters_base,
-                    resubmissions_base=resubmissions_base,
-                    lost_base=lost_base,
-                    faults=faults_this_epoch,
-                    detections=detections,
-                    step_records=step_records,
-                    migration_window=migration_window,
-                    capacity=epoch_capacity,
-                    deployed_nodes=epoch_nodes,
-                    spares=epoch_spares,
-                    offered=offered,
-                    demand_unit=demand_unit,
-                    applied=applied,
-                    evictions=(
-                        len(decision.targets)
-                        if applied and decision.action == "evict"
-                        else 0
-                    ),
-                    fluid_rate=(
-                        fluid_window.served_rate
-                        if fluid_window is not None
-                        else 0.0
-                    ),
-                    fluid_total=(
-                        fluid.total_served if fluid is not None else 0
-                    ),
-                )
-
-            records.append(
-                EpochRecord(
-                    index=index,
-                    start=start,
-                    end=end,
-                    offered=offered,
-                    served=observation.served,
-                    served_rate=observation.served_rate,
-                    capacity=epoch_capacity,
-                    deployed_nodes=epoch_nodes,
-                    spares=epoch_spares,
-                    busiest_node=observation.busiest_node,
-                    busiest_utilization=observation.busiest_utilization,
-                    queue_depth=observation.queue_depth,
-                    action=decision.action,
-                    reason=reason,
-                    applied=applied,
-                    migration_seconds=sum(
-                        step.downtime for step in step_records
-                    ),
-                    migration_steps=step_records,
-                    migration_window=migration_window,
-                    faults=tuple(faults_this_epoch),
-                    detections=tuple(detections),
-                    suspects=observation.suspect_nodes,
-                    reintegrated=observation.reintegrated_nodes,
-                    evictions=(
-                        decision.targets
-                        if applied and decision.action == "evict"
-                        else ()
-                    ),
-                    metrics=snapshot,
-                    fluid_clients=observation.fluid_clients,
-                    cohort_clients=observation.cohort,
-                )
+            epoch.steps, epoch.waves = self._apply_waves(
+                run.sim, run.system, plan, epoch.candidate
             )
+            epoch.window = run.sim.now - epoch.act_start
+            with self._overhead:
+                run.monitor.attach(run.system)  # fresh busy baselines
+        else:
+            self._apply_restart(run, epoch)
+        with self._overhead:
+            # The applied deployment becomes the next registry
+            # generation — committed *after* the apply, so the
+            # executors above replayed from the old one.
+            self.deployment_registry.commit(
+                run.hierarchy, epoch.decision.action, epoch=epoch.index,
+                command_ids=tuple(
+                    command.command_id for command in epoch.dispatched
+                ),
+            )
+        run.redeploys += 1
+        run.epochs_since_redeploy = 0
 
-        self.demand_unit_estimate = demand_unit
-        self.final_hierarchy = hierarchy
+    def _apply_restart(self, run: _RunState, epoch: _Epoch) -> None:
+        """Stop-the-world redeploy onto a rebuilt platform.
+
+        The old platform's daemons are killed, so every in-flight
+        request dies with them (aborted clients disown their
+        completions), the platform serves nothing for the whole
+        migration window, and a fresh client fleet reconnects to the
+        rebuilt platform at the next epoch.  This is the cost live
+        migration exists to avoid.
+        """
+        sim = run.sim
+        for client in run.clients:
+            client.abort()
+        run.clients = []
+        start = sim.now
+        sim.run_until(start + epoch.cost)
+        epoch.window = epoch.cost
+        epoch.steps = (
+            MigrationStepRecord(
+                op="restart",
+                target="*",
+                seconds=epoch.cost,
+                drained_nodes=epoch.nodes,
+                deployed_nodes=epoch.nodes,
+                started_at=start,
+            ),
+        )
+        with self._overhead:
+            run.dead_letters_base += run.system.dead_letters
+            run.resubmissions_base += run.system.resubmissions
+            run.lost_base += run.system.lost_conversations
+            run.generation += 1
+            run.system = self._build_system(sim, run.hierarchy, run.generation)
+            run.monitor.attach(run.system)
+
+    def _trace_epoch(self, run: _RunState, epoch: _Epoch) -> None:
+        """Emit the epoch's trace records once its stages have run.
+
+        Every controller record of an epoch is written here, after the
+        fact, from what the stages left on ``epoch``; tracing therefore
+        cannot perturb a decision.
+        """
+        tracer = self.obs.tracer
+        index = epoch.index
+        end = epoch.end
+        observation = epoch.observation
+        tracer.span(
+            epoch.start, end, "epoch", "simulate",
+            index=index, offered=epoch.offered,
+        )
+        tracer.event(
+            end, "epoch", "observe",
+            index=index,
+            served=observation.served,
+            queue_depth=observation.queue_depth,
+            suspects=len(observation.suspect_nodes),
+        )
+        tracer.event(
+            end, "epoch", "decide",
+            index=index,
+            action=epoch.decision.action,
+            applied=epoch.applied,
+        )
+        for detection in epoch.detections:
+            tracer.span(
+                detection.injected_at
+                if detection.injected_at is not None
+                else detection.suspected_at,
+                detection.confirmed_at,
+                "detection",
+                detection.node,
+                latency=detection.latency,
+                dead_letters=detection.dead_letters,
+                nodes=len(detection.nodes),
+            )
+        if epoch.applied:
+            act_start = epoch.act_start
+            for wave_index, (start, stop, regions) in enumerate(epoch.waves):
+                tracer.span(
+                    start, stop, "migration", f"wave:{wave_index}",
+                    regions=regions,
+                )
+            for step in epoch.steps:
+                tracer.span(
+                    step.started_at,
+                    step.started_at + step.seconds,
+                    "migration",
+                    f"{step.op}:{step.target}",
+                    drained_nodes=step.drained_nodes,
+                    epoch=index,
+                )
+            tracer.span(
+                act_start, run.sim.now, "epoch", "act",
+                index=index,
+                action=epoch.decision.action,
+                steps=len(epoch.steps),
+            )
+            dispatched = epoch.dispatched
+            if dispatched:
+                # The master/daemon exchange, folded back into the
+                # epoch: one dispatch marker, then per region a command
+                # span (outstanding from dispatch until the region
+                # resumed) closed by an ack event, with flow arrows
+                # tying each pair together across tracks.
+                by_root = {command.root: command for command in dispatched}
+                tracer.event(
+                    act_start, "protocol", "dispatch",
+                    epoch=index,
+                    commands=len(dispatched),
+                    generation=dispatched[0].generation,
+                )
+                for step in epoch.steps:
+                    command = by_root.get(step.target)
+                    if command is None:
+                        continue
+                    done = step.started_at + step.seconds
+                    tracer.span(
+                        act_start, done, "protocol",
+                        f"command:{step.target}",
+                        command_id=command.command_id,
+                        wave=command.wave,
+                        generation=command.generation,
+                        epoch=index,
+                    )
+                    tracer.event(
+                        done, "protocol", f"ack:{step.target}",
+                        command_id=command.command_id,
+                        epoch=index,
+                    )
+                    tracer.flow(act_start, "protocol", command.command_id, "s")
+                    tracer.flow(done, "protocol", command.command_id, "f")
+        tracer.sample(end, "served_rate", observation.served_rate)
+        tracer.sample(end, "queue_depth", observation.queue_depth)
+        if run.fluid is not None:
+            tracer.sample(end, "fluid_clients", observation.fluid_clients)
+
+    def _record(self, run: _RunState, epoch: _Epoch) -> None:
+        """Freeze the epoch's metrics and append its :class:`EpochRecord`."""
+        with self._overhead:
+            snapshot = self._epoch_metrics(run, epoch)
+        observation = epoch.observation
+        run.records.append(
+            EpochRecord(
+                index=epoch.index,
+                start=epoch.start,
+                end=epoch.end,
+                offered=epoch.offered,
+                served=observation.served,
+                served_rate=observation.served_rate,
+                capacity=epoch.capacity,
+                deployed_nodes=epoch.nodes,
+                spares=epoch.spares,
+                busiest_node=observation.busiest_node,
+                busiest_utilization=observation.busiest_utilization,
+                queue_depth=observation.queue_depth,
+                action=epoch.decision.action,
+                reason=epoch.reason,
+                applied=epoch.applied,
+                migration_seconds=sum(step.downtime for step in epoch.steps),
+                migration_steps=epoch.steps,
+                migration_window=epoch.window,
+                faults=tuple(epoch.faults),
+                detections=tuple(epoch.detections),
+                suspects=observation.suspect_nodes,
+                reintegrated=observation.reintegrated_nodes,
+                evictions=epoch.evictions,
+                metrics=snapshot,
+                fluid_clients=observation.fluid_clients,
+                cohort_clients=observation.cohort,
+            )
+        )
+
+    def _finish_run(self, run: _RunState) -> ControlTimeline:
+        """Fold the epoch records into the run's timeline."""
+        self.demand_unit_estimate = run.demand_unit
+        self.final_hierarchy = run.hierarchy
+        records = run.records
         return ControlTimeline(
             policy=self.policy.name,
             trace_name=self.trace.name,
             seed=self.seed,
             epoch_duration=self.epoch_duration,
             records=tuple(records),
-            total_served=completions.count,
-            redeploys=redeploys,
-            final_shape=hierarchy.shape_signature(),
-            final_capacity=capacity,
+            total_served=run.completions.count,
+            redeploys=run.redeploys,
+            final_shape=run.hierarchy.shape_signature(),
+            final_capacity=run.capacity,
             migration=self.migration,
             fault_count=sum(len(record.faults) for record in records),
-            dead_letters=dead_letters_base + system.dead_letters,
-            lost_conversations=lost_base + system.lost_conversations,
+            dead_letters=run.dead_letters_base + run.system.dead_letters,
+            lost_conversations=run.lost_base + run.system.lost_conversations,
             detection_count=sum(
                 len(record.detections) for record in records
             ),
@@ -1299,30 +1321,7 @@ class ControlLoop:
         )
         return deployment
 
-    def _epoch_metrics(
-        self,
-        *,
-        sim: Simulator,
-        system: MiddlewareSystem,
-        observation: WindowObservation,
-        completions: IntervalCounter,
-        dead_letters_base: int,
-        resubmissions_base: int,
-        lost_base: int,
-        faults,
-        detections,
-        step_records,
-        migration_window: float,
-        capacity: float,
-        deployed_nodes: int,
-        spares: int,
-        offered: int,
-        demand_unit: float,
-        applied: bool,
-        evictions: int,
-        fluid_rate: float = 0.0,
-        fluid_total: int = 0,
-    ) -> MetricsSnapshot:
+    def _epoch_metrics(self, run: _RunState, epoch: _Epoch) -> MetricsSnapshot:
         """Fold one epoch's deterministic state into the registry and
         freeze it.
 
@@ -1334,29 +1333,33 @@ class ControlLoop:
         per-epoch quantities increment.
         """
         metrics = self._metrics
-        metrics.counter("conversations_served").set_total(completions.count)
+        system = run.system
+        observation = epoch.observation
+        metrics.counter("conversations_served").set_total(
+            run.completions.count
+        )
         metrics.counter("conversations_dead_lettered").set_total(
-            dead_letters_base + system.dead_letters
+            run.dead_letters_base + system.dead_letters
         )
         metrics.counter("conversations_resubmitted").set_total(
-            resubmissions_base + system.resubmissions
+            run.resubmissions_base + system.resubmissions
         )
         metrics.counter("conversations_lost").set_total(
-            lost_base + system.lost_conversations
+            run.lost_base + system.lost_conversations
         )
-        metrics.counter("engine_events").set_total(sim.events_processed)
+        metrics.counter("engine_events").set_total(run.sim.events_processed)
         metrics.counter("engine_heap_compactions").set_total(
-            sim.heap_compactions
+            run.sim.heap_compactions
         )
-        metrics.counter("faults_injected").inc(len(faults))
-        metrics.counter("detections_confirmed").inc(len(detections))
-        metrics.counter("redeploys").inc(1 if applied else 0)
-        metrics.counter("evictions").inc(evictions)
-        metrics.counter("migration_steps").inc(len(step_records))
+        metrics.counter("faults_injected").inc(len(epoch.faults))
+        metrics.counter("detections_confirmed").inc(len(epoch.detections))
+        metrics.counter("redeploys").inc(1 if epoch.applied else 0)
+        metrics.counter("evictions").inc(len(epoch.evictions))
+        metrics.counter("migration_steps").inc(len(epoch.steps))
         metrics.counter("migration_downtime_seconds").inc(
-            sum(step.downtime for step in step_records)
+            sum(step.downtime for step in epoch.steps)
         )
-        metrics.counter("migration_window_seconds").inc(migration_window)
+        metrics.counter("migration_window_seconds").inc(epoch.window)
         cache = self._evaluator.cache_info()
         metrics.counter("evaluator_cache_hits").set_total(cache["hits"])
         metrics.counter("evaluator_cache_misses").set_total(cache["misses"])
@@ -1364,31 +1367,37 @@ class ControlLoop:
         metrics.gauge("evaluator_cache_hit_rate").set(
             cache["hits"] / lookups if lookups else 0.0
         )
-        metrics.gauge("offered_clients").set(offered)
+        metrics.gauge("offered_clients").set(epoch.offered)
         metrics.gauge("served_rate").set(observation.served_rate)
-        metrics.gauge("capacity").set(capacity)
-        metrics.gauge("deployed_nodes").set(deployed_nodes)
-        metrics.gauge("spares").set(spares)
+        metrics.gauge("capacity").set(epoch.capacity)
+        metrics.gauge("deployed_nodes").set(epoch.nodes)
+        metrics.gauge("spares").set(epoch.spares)
         metrics.gauge("queue_depth").set(observation.queue_depth)
         metrics.gauge("busiest_utilization").set(
             observation.busiest_utilization
         )
         metrics.gauge("suspect_nodes").set(len(observation.suspect_nodes))
-        metrics.gauge("demand_unit_estimate").set(demand_unit)
+        metrics.gauge("demand_unit_estimate").set(run.demand_unit)
         # Hybrid-population split: all four stay 0 on all-discrete runs,
         # set unconditionally so every epoch's snapshot has a uniform
         # key set (tracing on/off and hybrid/non-hybrid diffs stay
         # structural, never shape changes).
         metrics.gauge("fluid_clients").set(observation.fluid_clients)
         metrics.gauge("cohort_clients").set(observation.cohort)
-        metrics.gauge("fluid_served_rate").set(fluid_rate)
-        metrics.counter("fluid_served_total").set_total(fluid_total)
-        for detection in detections:
+        metrics.gauge("fluid_served_rate").set(
+            epoch.fluid_window.served_rate
+            if epoch.fluid_window is not None
+            else 0.0
+        )
+        metrics.counter("fluid_served_total").set_total(
+            run.fluid.total_served if run.fluid is not None else 0
+        )
+        for detection in epoch.detections:
             if detection.latency is not None:
                 metrics.histogram("detection_latency").observe(
                     detection.latency
                 )
-        for step in step_records:
+        for step in epoch.steps:
             metrics.histogram("migration_step_seconds").observe(step.seconds)
         return metrics.snapshot()
 
@@ -1572,7 +1581,7 @@ class ControlLoop:
         and its cost would inflate the adaptation-overhead telemetry
         the benchmark suite tracks.
         """
-        if self.migration in _LIVE_MODES:
+        if self.migration != "restart":
             plan = plan_migration(current, candidate)
             if plan.is_live:
                 return plan, self.cost_model.plan_outage_seconds(
@@ -1647,104 +1656,48 @@ class ControlLoop:
         )
         return round_tripped, commands
 
-    def _apply_live(
+    def _apply_waves(
         self,
         sim: Simulator,
         system: MiddlewareSystem,
         plan: MigrationPlan,
         target: Hierarchy,
-    ) -> tuple[MigrationStepRecord, ...]:
-        """Execute an incremental plan region by region on the live system.
+    ) -> tuple[tuple[MigrationStepRecord, ...], tuple]:
+        """Execute an incremental plan wave by wave on the live system.
 
-        Per drained region: unlink the subtree from the fan-out, run the
-        engine until the region's in-flight work has gone quiet (capped
-        by the cost model's ``drain_seconds``), bill the configuration
-        pushes, apply the structural steps, and restore the fan-out
-        edge.  Drain-free growth regions bill configuration only — the
-        platform serves at full capacity throughout.
-        """
-        records: list[MigrationStepRecord] = []
-        deployed = max(1, plan.source_nodes)
-        for region in plan.regions:
-            start = sim.now
-            drained = tuple(str(node) for node in region.drained)
-            if drained:
-                system.unlink(str(region.root), drained)
-                busy = system.region_busy_predicate(drained)
-                sim.run_until_condition(
-                    sim.now + self.cost_model.drain_seconds,
-                    lambda: not busy(),
-                )
-            config = self.cost_model.region_config_seconds(
-                region, self.params
-            )
-            if config > 0.0:
-                sim.run_until(sim.now + config)
-            self._finish_region(sim, system, region, drained, target)
-            records.append(
-                MigrationStepRecord(
-                    op="drain" if drained else "grow",
-                    target=str(region.root),
-                    seconds=sim.now - start,
-                    drained_nodes=len(drained),
-                    deployed_nodes=deployed,
-                    started_at=start,
-                )
-            )
-        system.complete_migration(target)
-        return tuple(records)
-
-    def _finish_region(
-        self,
-        sim: Simulator,
-        system: MiddlewareSystem,
-        region,
-        drained: tuple[str, ...],
-        target: Hierarchy,
-    ) -> None:
-        """Apply one region's structural steps and restore its fan-out."""
-        system.apply_migration(region.steps)
-        if drained and region.root in target:
-            parent = target.parent(region.root)
-            if parent is not None:
-                system.ensure_linked(str(region.root), str(parent))
-
-    def _apply_concurrent(
-        self,
-        sim: Simulator,
-        system: MiddlewareSystem,
-        plan: MigrationPlan,
-        target: Hierarchy,
-    ) -> tuple[MigrationStepRecord, ...]:
-        """Execute an incremental plan wave by wave, regions in parallel.
-
-        Every region of a dependency wave is unlinked at the wave's
-        start; the engine then advances under interleaved
+        The schedule is :meth:`~repro.deploy.migration.MigrationPlan
+        .waves` for the loop's mode: one region per wave, in plan order,
+        for ``live``; dependency waves for ``concurrent``.  Every region
+        of a wave is unlinked at the wave's start; the engine then
+        advances under interleaved
         :meth:`~repro.sim.engine.Simulator.run_until_condition` drains,
         and each region is reconfigured and resumed the moment its own
-        subtree has gone quiet (capped by ``drain_seconds``) and its
-        config push has elapsed — while its wave-mates are still
-        draining.  The wave ends when its last region resumes; the next
-        wave (whose regions depend on this one's attaches/promotes)
-        then starts.  Step records carry overlapping intervals:
-        ``started_at`` is shared per wave while windows differ.
+        subtree has gone quiet (capped by its share of
+        ``drain_seconds``) and its config push has elapsed — while its
+        wave-mates are still draining.  Drain-free growth regions bill
+        configuration only.  The wave ends when its last region resumes;
+        the next wave (whose regions depend on this one's
+        attaches/promotes) then starts.  Step records carry overlapping
+        intervals: ``started_at`` is shared per wave while windows
+        differ.
 
         Determinism: regions are scanned in plan order, config
         completions are totally ordered by ``(time, plan order)``, and
-        every pause point is a pure function of simulation state — the
-        same contract as the serial executor, which the regression
-        tests compare against run by run.
+        every pause point is a pure function of simulation state.
+
+        Returns ``(steps, waves)``: one record per region, and one
+        ``(start, end, regions)`` interval per wave.
         """
         records: list[MigrationStepRecord] = []
+        waves: list[tuple[float, float, int]] = []
         deployed = max(1, plan.source_nodes)
-        for wave_index, wave in enumerate(plan.concurrent_schedule()):
+        for wave in plan.waves(self.migration == "concurrent"):
             start = sim.now
-            # Wave-aware drain budget: the serial executor grants each
-            # region the full cap back to back, but a wave drains its
-            # regions *simultaneously* — so the wave shares one cap,
-            # split proportionally to each region's drained-node count.
-            # A single-region wave keeps the full cap bit-exactly
-            # (its share is 1.0), so serial-shaped plans are unchanged.
+            # Wave-aware drain budget: a wave drains its regions
+            # *simultaneously*, so the wave shares one cap, split
+            # proportionally to each region's drained-node count.  A
+            # single-region wave keeps the full cap bit-exactly (its
+            # share is 1.0).
             total_drained = sum(len(region.drained) for region in wave)
             cap_for: dict[str, float] = {}
             # root -> (region, members, quiet predicate), plan order.
@@ -1801,7 +1754,11 @@ class ControlLoop:
                 # Regions whose config window has closed resume now.
                 while ready and ready[0][0] <= sim.now + 1e-12:
                     _, _, region, drained = heapq.heappop(ready)
-                    self._finish_region(sim, system, region, drained, target)
+                    system.apply_migration(region.steps)
+                    if drained and region.root in target:
+                        parent = target.parent(region.root)
+                        if parent is not None:
+                            system.ensure_linked(str(region.root), str(parent))
                     records.append(
                         MigrationStepRecord(
                             op="drain" if drained else "grow",
@@ -1812,13 +1769,9 @@ class ControlLoop:
                             started_at=start,
                         )
                     )
-            if self.obs.enabled:
-                self.obs.tracer.span(
-                    start, sim.now, "migration",
-                    f"wave:{wave_index}", regions=len(wave),
-                )
+            waves.append((start, sim.now, len(wave)))
         system.complete_migration(target)
-        return tuple(records)
+        return tuple(records), tuple(waves)
 
     def _realize(
         self,
@@ -1873,54 +1826,8 @@ class ControlLoop:
                 gain, observation, reason,
             )
         if decision.action == "repair":
-            # Healing is exempt from the amortization veto: the platform
-            # is damaged, and the gate's served-rate arithmetic would
-            # read the post-fault slump as "not worth migrating for".
-            # It is also what the reserve exists for, so repairs splice
-            # from the scalable spares *and* the reserve.
-            repair_spares = list(spares) + list(reserved)
-            if repair_spares:
-                try:
-                    result = improve_deployment(
-                        hierarchy, repair_spares, self.params, self.app_work
-                    )
-                except HierarchyError:
-                    # Crash surgery can leave survivors the strict
-                    # validator rejects (single-child agents); the
-                    # bottleneck-removal mechanism cannot start from
-                    # such a tree, so fall through to a full replan.
-                    result = None
-                if (
-                    result is not None
-                    and result.actions
-                    and result.final_throughput - capacity
-                    > capacity * _REL_TOL
-                ):
-                    plan, cost = self._plan_and_price(
-                        hierarchy, result.hierarchy
-                    )
-                    return (
-                        result.hierarchy, reason, cost,
-                        result.final_throughput, plan,
-                    )
-            # No spares, or splicing could not raise capacity:
-            # restructure the survivors from scratch over the live pool.
-            planned = self._plan_full_capacity()
-            if (
-                self.cost_model.touched_nodes(hierarchy, planned.hierarchy)
-                > 0
-                and planned.throughput > capacity * (1.0 + _REL_TOL)
-            ):
-                plan, cost = self._plan_and_price(
-                    hierarchy, planned.hierarchy
-                )
-                return (
-                    planned.hierarchy, reason, cost,
-                    planned.throughput, plan,
-                )
-            return (
-                None, f"{reason} [no-op: no repair raises capacity]",
-                0.0, 0.0, None,
+            return self._realize_repair(
+                hierarchy, list(spares) + list(reserved), capacity, reason
             )
         # replan
         if decision.demand is not None and CAP_DEMAND not in self.registry.get(
@@ -1989,6 +1896,67 @@ class ControlLoop:
             ), 0.0, 0.0, None
         plan, cost = self._plan_and_price(hierarchy, candidate)
         return candidate, reason, cost, planned.throughput, plan
+
+    def _realize_repair(
+        self,
+        hierarchy: Hierarchy,
+        repair_spares: list,
+        capacity: float,
+        reason: str,
+    ) -> tuple[
+        Hierarchy | None, str, float, float, MigrationPlan | None
+    ]:
+        """Heal a damaged platform: splice spares, else restructure.
+
+        Healing is exempt from the amortization veto: the platform
+        is damaged, and the gate's served-rate arithmetic would
+        read the post-fault slump as "not worth migrating for".
+        It is also what the reserve exists for, so repairs splice
+        from the scalable spares *and* the reserve.
+        """
+        if repair_spares:
+            try:
+                result = improve_deployment(
+                    hierarchy, repair_spares, self.params, self.app_work
+                )
+            except HierarchyError:
+                # Crash surgery can leave survivors the strict
+                # validator rejects (single-child agents); the
+                # bottleneck-removal mechanism cannot start from
+                # such a tree, so fall through to a full replan.
+                result = None
+            if (
+                result is not None
+                and result.actions
+                and result.final_throughput - capacity
+                > capacity * _REL_TOL
+            ):
+                plan, cost = self._plan_and_price(
+                    hierarchy, result.hierarchy
+                )
+                return (
+                    result.hierarchy, reason, cost,
+                    result.final_throughput, plan,
+                )
+        # No spares, or splicing could not raise capacity:
+        # restructure the survivors from scratch over the live pool.
+        planned = self._plan_full_capacity()
+        if (
+            self.cost_model.touched_nodes(hierarchy, planned.hierarchy)
+            > 0
+            and planned.throughput > capacity * (1.0 + _REL_TOL)
+        ):
+            plan, cost = self._plan_and_price(
+                hierarchy, planned.hierarchy
+            )
+            return (
+                planned.hierarchy, reason, cost,
+                planned.throughput, plan,
+            )
+        return (
+            None, f"{reason} [no-op: no repair raises capacity]",
+            0.0, 0.0, None,
+        )
 
     def _realize_evict(
         self,

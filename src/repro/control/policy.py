@@ -555,15 +555,15 @@ class MigrationCostModel:
         return drain + self.region_config_seconds(region, params)
 
     def wave_window_seconds(self, wave, params: ModelParams) -> float:
-        """Worst-case wall duration of one concurrent dependency wave.
+        """Worst-case wall duration of one migration wave.
 
-        The concurrent executor shares a single drain cap across a
-        wave's simultaneously-draining regions, each slice proportional
-        to the region's drained-node count; a wave closes when its
-        slowest region (drain slice plus config push) resumes.  A
-        single-region wave prices exactly like
-        :meth:`region_window_seconds` — the share is 1.0 — so the
-        serial and concurrent prices agree on serial-shaped plans.
+        The executor shares a single drain cap across a wave's
+        simultaneously-draining regions, each slice proportional to the
+        region's drained-node count; a wave closes when its slowest
+        region (drain slice plus config push) resumes.  A single-region
+        wave prices exactly like :meth:`region_window_seconds` — the
+        share is 1.0 — so serial execution, a schedule of singleton
+        waves, prices region windows back to back.
         """
         total_drained = sum(len(region.drained) for region in wave)
         window = 0.0
@@ -617,26 +617,22 @@ class MigrationCostModel:
     ) -> float:
         """Worst-case wall (simulated) duration of executing ``plan``.
 
-        Serial execution pays region windows back to back; a concurrent
+        The sum of :meth:`wave_window_seconds` over the schedule
+        :meth:`~repro.deploy.migration.MigrationPlan.waves` runs: serial
+        execution pays region windows back to back; a concurrent
         schedule pays each dependency wave only its *slowest* region, so
         a plan with independent regions migrates in a strictly shorter
         window.  Non-live plans are one stop-the-world window, priced
         like :meth:`cost_seconds` regardless of schedule.  This is the
-        horizon discount the concurrent amortization gate applies: the
-        modeled gain only starts accruing once the migration window has
-        closed.
+        horizon discount the amortization gate applies: the modeled
+        gain only starts accruing once the migration window has closed.
         """
         if not plan.is_live:
             per_node = self.launch_seconds + self.per_node_seconds(params)
             return self.restart_seconds + plan.target_nodes * per_node
-        if not concurrent:
-            return sum(
-                self.region_window_seconds(region, params)
-                for region in plan.regions
-            )
         return sum(
             self.wave_window_seconds(wave, params)
-            for wave in plan.concurrent_schedule()
+            for wave in plan.waves(concurrent)
         )
 
 

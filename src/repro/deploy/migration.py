@@ -252,6 +252,21 @@ class MigrationPlan:
             waves[level[region.root]].append(region)
         return tuple(tuple(wave) for wave in waves)
 
+    def waves(
+        self, concurrent: bool = False
+    ) -> tuple[tuple[MigrationRegion, ...], ...]:
+        """The wave schedule a migration mode executes.
+
+        ``concurrent`` runs the dependency waves of
+        :meth:`concurrent_schedule`; serial (``live``) execution is the
+        degenerate schedule of singleton waves, one region per wave in
+        plan order.  This is the one place a migration mode maps to its
+        schedule: the executor runs it and the cost model prices it.
+        """
+        if concurrent:
+            return self.concurrent_schedule()
+        return tuple((region,) for region in self.regions)
+
     def describe(self) -> str:
         if self.is_noop:
             return "MigrationPlan[noop]"

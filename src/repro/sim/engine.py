@@ -32,6 +32,8 @@ from repro.errors import SimulationError
 
 __all__ = ["Event", "Simulator"]
 
+_INF = float("inf")
+
 
 @dataclass(order=True)
 class Event:
@@ -86,9 +88,17 @@ class Simulator:
     # ------------------------------------------------------------------ #
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to fire ``delay`` seconds from now."""
-        if delay < 0.0:
-            raise SimulationError(f"cannot schedule in the past: delay={delay}")
+        """Schedule ``callback`` to fire ``delay`` seconds from now.
+
+        ``delay`` must be finite and non-negative: a NaN time would
+        enter the heap and silently break its ordering.
+        """
+        # One chained comparison rejects negative, NaN and infinite
+        # delays alike (every comparison with NaN is false).
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(
+                f"delay must be finite and >= 0, got delay={delay}"
+            )
         self._sequence += 1
         event = Event(self.now + delay, self._sequence, callback, self)
         heapq.heappush(self._heap, event)
@@ -167,7 +177,12 @@ class Simulator:
         return False
 
     def run(self, max_events: int | None = None) -> None:
-        """Run until the heap drains (or ``max_events`` callbacks fired)."""
+        """Run until the heap drains.
+
+        With ``max_events``, at most that many callbacks fire; running
+        out of budget while live events remain raises
+        :class:`~repro.errors.SimulationError`.
+        """
         if max_events is None:
             while self.step():
                 pass
@@ -175,9 +190,10 @@ class Simulator:
         for _ in range(max_events):
             if not self.step():
                 return
-        raise SimulationError(
-            f"event budget of {max_events} exhausted at t={self.now:.6f}"
-        )
+        if self.peek_time() is not None:
+            raise SimulationError(
+                f"event budget of {max_events} exhausted at t={self.now:.6f}"
+            )
 
     def run_until(self, time: float, max_events: int | None = None) -> None:
         """Run events with ``event.time <= time``; clock ends at ``time``.
@@ -194,12 +210,12 @@ class Simulator:
             next_time = self.peek_time()
             if next_time is None or next_time > time:
                 break
-            self.step()
-            fired += 1
-            if max_events is not None and fired > max_events:
+            if max_events is not None and fired >= max_events:
                 raise SimulationError(
                     f"event budget of {max_events} exhausted at t={self.now:.6f}"
                 )
+            self.step()
+            fired += 1
         self.now = time
 
     def run_until_condition(
@@ -234,13 +250,13 @@ class Simulator:
             next_time = self.peek_time()
             if next_time is None or next_time > deadline:
                 break
-            self.step()
-            fired += 1
-            if max_events is not None and fired > max_events:
+            if max_events is not None and fired >= max_events:
                 raise SimulationError(
                     f"event budget of {max_events} exhausted at "
                     f"t={self.now:.6f}"
                 )
+            self.step()
+            fired += 1
             if condition():
                 return True
         self.now = deadline

@@ -353,6 +353,16 @@ class TestConcurrentPricing:
                 )
                 if plan.is_live and widest >= 2:
                     assert concurrent < serial
+                if plan.is_live:
+                    # Serial execution is a schedule of singleton waves,
+                    # and a singleton wave prices exactly like its region.
+                    assert serial == sum(
+                        model.wave_window_seconds((region,), DEFAULT_PARAMS)
+                        for region in plan.regions
+                    ) == sum(
+                        model.region_window_seconds(region, DEFAULT_PARAMS)
+                        for region in plan.regions
+                    )
 
     def test_non_live_plans_price_one_restart_window(self):
         model = MigrationCostModel()

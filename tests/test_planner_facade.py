@@ -1,11 +1,23 @@
-"""The plan_deployment facade."""
+"""Planning through the ``PlanningSession`` facade."""
 
 import pytest
 
-from repro.core.planner import PLANNING_METHODS, plan_deployment
+from repro.api import PlanningSession
+from repro.core.registry import CAP_EXTENSION, REGISTRY
 from repro.errors import PlanningError
 from repro.platforms.pool import NodePool
 from repro.units import dgemm_mflop
+
+#: The paper's six planning methods: every registered core planner.
+CORE_METHODS = tuple(
+    name
+    for name in REGISTRY.available()
+    if CAP_EXTENSION not in REGISTRY.get(name).capabilities
+)
+
+
+def plan(pool, app_work, **request):
+    return PlanningSession().plan(pool=pool, app_work=app_work, **request)
 
 
 @pytest.fixture
@@ -15,16 +27,20 @@ def pool() -> NodePool:
 
 class TestMethods:
     def test_all_methods_produce_valid_deployments(self, pool):
-        for method in PLANNING_METHODS:
+        assert sorted(CORE_METHODS) == [
+            "balanced", "chain", "exhaustive", "heuristic", "homogeneous",
+            "star",
+        ]
+        for method in CORE_METHODS:
             if method == "exhaustive":
                 continue  # pool too large; tested separately
-            kwargs = {}
+            options = None
             if method == "balanced":
-                kwargs["middle_agents"] = 3
+                options = {"middle_agents": 3}
             elif method == "chain":
-                kwargs["agents"] = 2
-            deployment = plan_deployment(
-                pool, dgemm_mflop(200), method=method, **kwargs
+                options = {"agents": 2}
+            deployment = plan(
+                pool, dgemm_mflop(200), method=method, options=options
             )
             deployment.hierarchy.validate(strict=True)
             assert deployment.method == method
@@ -32,37 +48,39 @@ class TestMethods:
 
     def test_exhaustive_method_on_small_pool(self):
         pool = NodePool.uniform_random(5, low=100, high=400, seed=8)
-        deployment = plan_deployment(pool, dgemm_mflop(200), method="exhaustive")
+        deployment = plan(pool, dgemm_mflop(200), method="exhaustive")
         deployment.hierarchy.validate(strict=True)
 
     def test_unknown_method_rejected(self, pool):
         with pytest.raises(PlanningError):
-            plan_deployment(pool, 1.0, method="oracle")
+            plan(pool, 1.0, method="oracle")
 
     def test_unknown_option_rejected(self, pool):
         with pytest.raises(PlanningError):
-            plan_deployment(pool, 1.0, wibble=True)
+            plan(pool, 1.0, options={"wibble": True})
 
     def test_heuristic_options_forwarded(self, pool):
-        incremental = plan_deployment(
-            pool, dgemm_mflop(310), strategy="incremental", patience=1
+        incremental = plan(
+            pool, dgemm_mflop(310),
+            options={"strategy": "incremental", "patience": 1},
         )
         incremental.hierarchy.validate(strict=True)
-        windowed = plan_deployment(
-            pool, dgemm_mflop(310), agent_selection="windowed"
+        windowed = plan(
+            pool, dgemm_mflop(310), options={"agent_selection": "windowed"}
         )
-        default = plan_deployment(pool, dgemm_mflop(310))
+        default = plan(pool, dgemm_mflop(310))
         assert windowed.throughput >= default.throughput - 1e-9
 
     def test_homogeneous_spanning_option(self):
         pool = NodePool.homogeneous(10, 265.0)
-        spanning = plan_deployment(
-            pool, dgemm_mflop(10), method="homogeneous", spanning_only=True
+        spanning = plan(
+            pool, dgemm_mflop(10), method="homogeneous",
+            options={"spanning_only": True},
         )
         assert spanning.nodes_used == 10
 
     def test_default_params_are_table3(self, pool):
-        deployment = plan_deployment(pool, dgemm_mflop(200))
+        deployment = plan(pool, dgemm_mflop(200))
         assert deployment.params.wreq == pytest.approx(0.17)
 
     def test_heuristic_beats_or_ties_sorted_star(self, pool):
@@ -72,18 +90,18 @@ class TestMethods:
         # its slow agent leaves the fastest node serving; the windowed
         # extension covers that case below.
         wapp = dgemm_mflop(310)
-        heuristic = plan_deployment(pool, wapp)
-        star = plan_deployment(pool.sorted_by_power(), wapp, method="star")
+        heuristic = plan(pool, wapp)
+        star = plan(pool.sorted_by_power(), wapp, method="star")
         assert heuristic.throughput >= star.throughput - 1e-9
 
     def test_windowed_heuristic_beats_or_ties_any_star(self, pool):
         wapp = dgemm_mflop(310)
-        windowed = plan_deployment(pool, wapp, agent_selection="windowed")
+        windowed = plan(pool, wapp, options={"agent_selection": "windowed"})
         for candidate in (pool, pool.sorted_by_power()):
-            star = plan_deployment(candidate, wapp, method="star")
+            star = plan(candidate, wapp, method="star")
             assert windowed.throughput >= star.throughput - 1e-9
 
     def test_demand_forwarded(self, pool):
-        capped = plan_deployment(pool, dgemm_mflop(200), demand=20.0)
+        capped = plan(pool, dgemm_mflop(200), demand=20.0)
         assert capped.throughput >= 20.0
         assert capped.nodes_used <= 5

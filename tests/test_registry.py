@@ -1,13 +1,11 @@
 """The planner registry and typed per-planner options."""
 
 import dataclasses
-import warnings
 
 import pytest
 
 from repro.api import PlanRequest, PlanningSession
 from repro.core.optimal import MAX_EXHAUSTIVE_NODES
-from repro.core.params import DEFAULT_PARAMS
 from repro.core.registry import (
     CAP_AUTOMATIC,
     CAP_BASELINE,
@@ -23,7 +21,6 @@ from repro.core.registry import (
     default_middle_agents,
     register_planner,
 )
-from repro.core.planner import plan_deployment
 from repro.errors import PlanningError
 from repro.platforms.pool import NodePool
 from repro.units import dgemm_mflop
@@ -219,51 +216,3 @@ class TestEveryPlannerOnPoolSweep:
         assert deployment.method == method
         assert deployment.throughput > 0
         assert isinstance(deployment, Deployment)
-
-
-class TestDeprecatedShim:
-    def test_plan_deployment_warns(self):
-        pool = NodePool.uniform_random(10, low=100, high=400, seed=4)
-        with pytest.warns(DeprecationWarning, match="PlanningSession"):
-            plan_deployment(pool, dgemm_mflop(200))
-
-    @pytest.mark.parametrize(
-        "method,options",
-        [
-            ("heuristic", {}),
-            ("heuristic", {"strategy": "incremental", "patience": 2}),
-            ("heuristic", {"agent_selection": "windowed"}),
-            ("homogeneous", {"spanning_only": True}),
-            ("star", {}),
-            ("balanced", {"middle_agents": 3}),
-            ("chain", {"agents": 2}),
-        ],
-    )
-    def test_shim_matches_new_api_exactly(self, method, options):
-        pool = NodePool.uniform_random(16, low=100, high=400, seed=9)
-        wapp = dgemm_mflop(250)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = plan_deployment(pool, wapp, method=method, **options)
-        modern = PlanningSession().plan(
-            PlanRequest(
-                pool=pool, app_work=wapp, method=method,
-                options=options or None,
-            )
-        )
-        assert legacy.hierarchy.describe() == modern.hierarchy.describe()
-        assert legacy.throughput == pytest.approx(modern.throughput)
-        assert legacy.report.bottleneck == modern.report.bottleneck
-        assert legacy.params == DEFAULT_PARAMS
-
-    def test_shim_matches_new_api_with_demand(self):
-        pool = NodePool.uniform_random(16, low=100, high=400, seed=9)
-        wapp = dgemm_mflop(250)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = plan_deployment(pool, wapp, demand=20.0)
-        modern = PlanningSession().plan(
-            pool=pool, app_work=wapp, demand=20.0
-        )
-        assert legacy.hierarchy.describe() == modern.hierarchy.describe()
-        assert legacy.throughput == pytest.approx(modern.throughput)

@@ -45,6 +45,17 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)
 
+    @pytest.mark.parametrize(
+        "delay", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_delay_rejected(self, delay):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(delay, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(delay, lambda: None)
+        assert sim.pending == 0
+
     def test_nested_scheduling(self):
         sim = Simulator()
         fired = []
@@ -156,6 +167,44 @@ class TestRunUntil:
         sim.schedule(0.1, reschedule)
         with pytest.raises(SimulationError):
             sim.run_until(1e9, max_events=100)
+
+    def test_budget_equal_to_drained_events_does_not_raise(self):
+        sim = Simulator()
+        for _ in range(3):
+            sim.schedule(1.0, lambda: None)
+        sim.run(max_events=3)
+        assert sim.events_processed == 3
+        with pytest.raises(SimulationError):
+            sim.schedule(1.0, lambda: None)
+            sim.schedule(2.0, lambda: None)
+            sim.run(max_events=1)
+
+    @pytest.mark.parametrize("until", ["run_until", "run_until_condition"])
+    def test_budget_fires_at_most_max_events(self, until):
+        sim = Simulator()
+        fired = []
+
+        def reschedule():
+            fired.append(sim.now)
+            sim.schedule(0.1, reschedule)
+
+        sim.schedule(0.1, reschedule)
+        run = getattr(sim, until)
+        args = (1e9,) if until == "run_until" else (1e9, lambda: False)
+        with pytest.raises(SimulationError):
+            run(*args, max_events=5)
+        assert len(fired) == 5
+
+    @pytest.mark.parametrize("until", ["run_until", "run_until_condition"])
+    def test_budget_equal_to_window_events_does_not_raise(self, until):
+        sim = Simulator()
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule(delay, lambda: None)
+        run = getattr(sim, until)
+        args = (5.0,) if until == "run_until" else (5.0, lambda: False)
+        run(*args, max_events=3)
+        assert sim.events_processed == 3
+        assert sim.now == 5.0
 
     def test_events_processed_counter(self):
         sim = Simulator()
