@@ -10,8 +10,10 @@ record a *performance trajectory* across PRs.  It times
   measurable forever;
 * a scenario-grid ``plan_many`` fan-out (100 requests across pools,
   workloads and planner methods), serial vs. parallel;
-* discrete-event engine throughput: a schedule/fire ping-pong and a
-  cancellation-heavy churn storm that exercises heap compaction;
+* discrete-event engine throughput: a schedule/fire ping-pong, a
+  cancellation-heavy churn storm that exercises heap compaction, and a
+  preemption churn over serial resources with the heap depth and cancel
+  share of a real control run;
 * the batched kernels against their scalar counterparts;
 * the online control plane: a full autoscaling run under a flash-crowd
   trace (reactive policy vs. the static ``hold`` baseline), separating
@@ -85,6 +87,7 @@ import json
 import math
 import os
 import platform
+import random
 import sys
 import time
 from pathlib import Path
@@ -106,6 +109,7 @@ from repro.core.kernels import (  # noqa: E402
 )
 from repro.platforms.pool import NodePool  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
+from repro.sim.resources import SerialResource  # noqa: E402
 from repro.units import dgemm_mflop  # noqa: E402
 
 _REL_TOL = 1e-9
@@ -387,7 +391,87 @@ def bench_engine(quick):
         f"peak heap {peak} for {survivors} live events, "
         f"{sim.heap_compactions} compactions"
     )
+    results.append(bench_engine_preempt_churn(quick))
     return results
+
+
+def bench_engine_preempt_churn(quick):
+    """Engine + resource load shaped like a control run.
+
+    Four serial resources stay saturated with long priority-1 service
+    items; 340 clients each keep one arrival timer on the heap and, when
+    it fires, submit a short priority-0 item that preempts the running
+    service item.  Every preemption cancels a completion two seconds out,
+    so dead entries pile up until compaction: the heap sits ~500 deep
+    and a third of all scheduled events are cancelled, as in the
+    ``surge_live`` benchmark workload.
+    """
+    arrivals = 20_000 if quick else 200_000
+    clients, node_count = 340, 4
+    rng = random.Random(7)
+    pauses = [rng.expovariate(1.0) for _ in range(1024)]
+
+    def preempt_churn():
+        sim = Simulator()
+        nodes = [SerialResource(sim, f"node{i}") for i in range(node_count)]
+        left = arrivals
+        depth_total = peak = 0
+
+        def service(node):
+            def again():
+                if left > 0:
+                    node.submit(2.0, "compute", again, priority=1)
+
+            return again
+
+        def client():
+            nonlocal left, depth_total, peak
+            if left <= 0:
+                return
+            left -= 1
+            nodes[left % node_count].submit(1e-4, "recv")
+            depth = sim.pending
+            depth_total += depth
+            peak = max(peak, depth)
+            sim.schedule(pauses[left % 1024], client)
+
+        for node in nodes:
+            service(node)()
+        for index in range(clients):
+            sim.schedule(pauses[(7 * index) % 1024], client)
+        sim.run()
+        # Drained: every scheduled event either fired or was cancelled,
+        # and only preemptions cancel.
+        cancelled = sum(node.preemptions for node in nodes)
+        return sim, cancelled, depth_total / arrivals, peak
+
+    seconds, (sim, cancelled, mean_depth, peak) = best_of(2, preempt_churn)
+    scheduled = sim.events_processed + cancelled
+    print(
+        f"  engine_preempt_churn: {sim.events_processed / seconds:,.0f} "
+        f"events/s, heap ~{mean_depth:.0f} deep (peak {peak}), "
+        f"{100 * cancelled / scheduled:.0f}% cancelled, "
+        f"{sim.heap_compactions} compactions"
+    )
+    return {
+        "name": "engine_preempt_churn",
+        "params": {
+            "arrivals": arrivals,
+            "clients": clients,
+            "resources": node_count,
+        },
+        "metric": "events_per_s",
+        "value": round(sim.events_processed / seconds, 1),
+        "extra": {
+            "seconds": round(seconds, 6),
+            "scheduled": scheduled,
+            "cancelled": cancelled,
+            "cancelled_pct": round(100 * cancelled / scheduled, 1),
+            "mean_pending": round(mean_depth, 1),
+            "peak_pending": peak,
+            "heap_compactions": sim.heap_compactions,
+        },
+    }
 
 
 def bench_kernels(quick):

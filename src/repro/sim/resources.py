@@ -38,6 +38,7 @@ from repro.sim.engine import Event, Simulator
 __all__ = ["SerialResource"]
 
 _KINDS = ("send", "recv", "compute")
+_INF = float("inf")
 
 
 class SerialResource:
@@ -56,7 +57,6 @@ class SerialResource:
         "name",
         "_queue",
         "_low_queue",
-        "_busy",
         "_current",
         "_completion",
         "busy_time",
@@ -77,7 +77,8 @@ class SerialResource:
         self._low_queue: deque[
             tuple[float, str, Callable[[], None] | None]
         ] = deque()
-        self._busy = False
+        # The in-progress item, (wall, kind, on_done, priority); None
+        # while idle, so it doubles as the busy flag.
         self._current: tuple[float, str, Callable[[], None] | None, int] | None = None
         self._completion: Event | None = None
         self.busy_time = 0.0
@@ -112,9 +113,12 @@ class SerialResource:
             # never fire.  Failure surfacing is the middleware's job
             # (dead-letter + resubmit), not the resource's.
             return
-        if duration < 0.0:
+        # One chained comparison rejects negative, NaN and infinite
+        # durations alike (every comparison with NaN is false).
+        if not 0.0 <= duration < _INF:
             raise SimulationError(
-                f"{self.name}: negative task duration {duration}"
+                f"{self.name}: task duration must be finite and >= 0, "
+                f"got {duration}"
             )
         if kind not in _KINDS:
             raise SimulationError(
@@ -122,13 +126,13 @@ class SerialResource:
             )
         if priority == 0:
             self._queue.append((duration, kind, on_done))
-            if self._busy and self._current is not None and self._current[3] == 1:
-                self._preempt()
-            elif not self._busy:
+            if self._current is None:
                 self._start_next()
+            elif self._current[3] == 1:
+                self._preempt()
         elif priority == 1:
             self._low_queue.append((duration, kind, on_done))
-            if not self._busy:
+            if self._current is None:
                 self._start_next()
         else:
             raise SimulationError(
@@ -139,7 +143,7 @@ class SerialResource:
 
     @property
     def is_busy(self) -> bool:
-        return self._busy
+        return self._current is not None
 
     @property
     def rate(self) -> float:
@@ -160,16 +164,16 @@ class SerialResource:
         they start.  ``set_rate(1.0)`` on an idle, never-degraded
         resource is a bit-exact no-op.
         """
-        if rate <= 0.0:
+        if not 0.0 < rate < _INF:
             raise SimulationError(
-                f"{self.name}: rate must be > 0, got {rate} "
+                f"{self.name}: rate must be finite and > 0, got {rate} "
                 "(use halt() to stop the resource)"
             )
         if self._halted:
             raise SimulationError(f"{self.name}: cannot re-rate a halted resource")
         if rate == self._rate:
             return
-        if self._busy:
+        if self._current is not None:
             assert self._current is not None and self._completion is not None
             wall, kind, on_done, priority = self._current
             elapsed = self.sim.now - self._busy_since
@@ -194,7 +198,7 @@ class SerialResource:
         if self._halted:
             return 0
         dropped = len(self._queue) + len(self._low_queue)
-        if self._busy:
+        if self._current is not None:
             assert self._current is not None and self._completion is not None
             _, kind, _, _ = self._current
             elapsed = self.sim.now - self._busy_since
@@ -204,7 +208,6 @@ class SerialResource:
             dropped += 1
         self._queue.clear()
         self._low_queue.clear()
-        self._busy = False
         self._current = None
         self._completion = None
         self._halted = True
@@ -236,7 +239,7 @@ class SerialResource:
         """
         end = self.sim.now if horizon is None else horizon
         busy = self.busy_time
-        if self._busy:
+        if self._current is not None:
             busy += max(0.0, min(end, self.sim.now) - self._busy_since)
         return busy
 
@@ -264,16 +267,20 @@ class SerialResource:
             priority = 1
         else:
             return
-        self._busy = True
-        self._busy_since = self.sim.now
+        sim = self.sim
+        self._busy_since = sim.now
         # Queued durations are nominal; _current holds *wall* duration.
         # At rate 1.0 the division is bit-exact identity.
         wall = duration / self._rate
         self._current = (wall, kind, on_done, priority)
-        self._completion = self.sim.schedule(wall, self._complete)
+        self._completion = sim.schedule(wall, self._complete)
 
     def _preempt(self) -> None:
-        """Pause the in-progress priority-1 item; requeue its remainder."""
+        """Pause the in-progress priority-1 item; requeue its remainder.
+
+        Only called with a priority-0 item queued, so the resource stays
+        busy: :meth:`_start_next` overwrites the current-item state.
+        """
         assert self._current is not None and self._completion is not None
         duration, kind, on_done, _ = self._current
         elapsed = self.sim.now - self._busy_since
@@ -285,12 +292,10 @@ class SerialResource:
         # Front of the low queue: the item resumes before later service
         # work.  Requeued as nominal work (wall remainder * rate), so a
         # later rate change re-times it correctly; exact identity at 1.0.
+        # The conditional clamps like max(0.0, remaining), NaN included.
         self._low_queue.appendleft(
-            (max(0.0, remaining) * self._rate, kind, on_done)
+            ((remaining if remaining > 0.0 else 0.0) * self._rate, kind, on_done)
         )
-        self._busy = False
-        self._current = None
-        self._completion = None
         self._start_next()
 
     def _complete(self) -> None:
@@ -299,16 +304,16 @@ class SerialResource:
         self.busy_time += duration
         self._kind_time[kind] += duration
         self.tasks_done += 1
-        self._busy = False
-        self._current = None
-        self._completion = None
         if self._queue or self._low_queue:
             self._start_next()
+        else:
+            self._current = None
+            self._completion = None
         if on_done is not None:
             on_done()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "busy" if self._busy else "idle"
+        state = "busy" if self._current is not None else "idle"
         return (
             f"SerialResource({self.name!r}, {state}, "
             f"queued={self.queue_length}, done={self.tasks_done})"

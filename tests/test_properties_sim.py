@@ -6,8 +6,14 @@ The load-bearing invariants of the DES:
 * a serial resource conserves work exactly across any interleaving of
   priorities and preemptions (total busy time == total submitted
   durations once drained, regardless of arrival pattern);
-* a resource never runs two things at once (busy time <= elapsed time).
+* a resource never runs two things at once (busy time <= elapsed time);
+* under any interleaving of submits, preemptions, rate changes and a
+  halt, observed window by window: busy plus idle time is elapsed time,
+  per-kind time sums to busy time, every accepted item fires once unless
+  the halt dropped it, and a halted resource fires nothing.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,3 +156,123 @@ class TestResourceProperties:
         sim.run()
         by_kind = sum(resource.kind_time(kind) for kind in kinds)
         assert abs(by_kind - resource.busy_time) < 1e-9
+
+
+# Resource programs: submits, rate changes and halts are scheduled at an
+# offset into the next ``run_until`` window, so preemptions and re-rates
+# land mid-window as well as on window edges.
+offsets = st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.7])
+submits = st.tuples(
+    st.just("submit"),
+    offsets,
+    st.floats(min_value=0.0, max_value=2.0),
+    st.sampled_from(("send", "recv", "compute")),
+    st.integers(min_value=0, max_value=1),
+)
+resource_ops = st.one_of(
+    submits,
+    submits,
+    submits,
+    st.tuples(st.just("rate"), offsets, st.sampled_from([0.25, 0.5, 1.0, 2.0])),
+    st.tuples(st.just("halt"), offsets),
+    st.tuples(st.just("window"), st.floats(min_value=0.0, max_value=3.0)),
+)
+
+
+class ResourceHarness:
+    """Drives one resource and keeps its own idle-time account.
+
+    The resource only turns busy inside :meth:`SerialResource.submit` and
+    only turns idle on a completion (its ``on_done`` runs after the state
+    update) or a halt, so watching ``is_busy`` around those calls times
+    every idle interval exactly — independently of the resource's own
+    busy-time bookkeeping.
+    """
+
+    def __init__(self):
+        self.sim = Simulator()
+        self.resource = SerialResource(self.sim, "node")
+        self.accepted = 0
+        self.fired: list[int] = []
+        self.fired_while_halted = 0
+        self.dropped = 0
+        self.idle = 0.0
+        self.idle_since = 0.0
+
+    def submit(self, duration, kind, priority):
+        resource = self.resource
+        if resource.is_halted:
+            resource.submit(duration, kind, self.done(-1), priority)
+            return
+        was_busy = resource.is_busy
+        resource.submit(duration, kind, self.done(self.accepted), priority)
+        self.accepted += 1
+        if not was_busy:
+            self.idle += self.sim.now - self.idle_since
+
+    def done(self, item):
+        def on_done():
+            if self.resource.is_halted:
+                self.fired_while_halted += 1
+            self.fired.append(item)
+            if not self.resource.is_busy:
+                self.idle_since = self.sim.now
+
+        return on_done
+
+    def set_rate(self, rate):
+        if not self.resource.is_halted:
+            self.resource.set_rate(rate)
+
+    def halt(self):
+        if self.resource.is_halted:
+            return
+        if self.resource.is_busy:
+            self.idle_since = self.sim.now
+        self.dropped = self.resource.halt()
+
+    def apply(self, op):
+        sim = self.sim
+        kind = op[0]
+        if kind == "window":
+            sim.run_until(sim.now + op[1])
+            self.check()
+        elif kind == "submit":
+            _, offset, duration, task, priority = op
+            sim.schedule(offset, lambda: self.submit(duration, task, priority))
+        elif kind == "rate":
+            sim.schedule(op[1], lambda rate=op[2]: self.set_rate(rate))
+        else:
+            sim.schedule(op[1], self.halt)
+
+    def check(self):
+        resource = self.resource
+        now = self.sim.now
+        idle = self.idle + (0.0 if resource.is_busy else now - self.idle_since)
+        assert math.isclose(
+            resource.busy_seconds() + idle, now, rel_tol=1e-9, abs_tol=1e-9
+        )
+        by_kind = sum(resource.kind_time(k) for k in ("send", "recv", "compute"))
+        assert math.isclose(by_kind, resource.busy_time, rel_tol=1e-9, abs_tol=1e-9)
+        assert self.fired_while_halted == 0
+
+
+class TestResourceInterleavings:
+    @given(st.lists(resource_ops, min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_accounting_under_any_interleaving(self, program):
+        harness = ResourceHarness()
+        for op in program:
+            harness.apply(op)
+        harness.sim.run()
+        harness.check()
+        fired = harness.fired
+        # Work fired == work submitted less what the halt dropped; items
+        # offered to a halted resource never fire.
+        assert -1 not in fired
+        assert len(set(fired)) == len(fired)
+        assert set(fired) <= set(range(harness.accepted))
+        assert len(fired) + harness.dropped == harness.accepted
+        if not harness.resource.is_halted:
+            assert harness.dropped == 0
+            assert harness.resource.tasks_done == harness.accepted

@@ -126,3 +126,36 @@ class TestPriorityPreemption:
         res.submit(1.0, "compute", lambda: done.append(sim.now), priority=1)
         sim.run()
         assert done == [1.0]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "duration", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_submit_rejects_non_finite_duration(self, sim, res, duration):
+        with pytest.raises(SimulationError, match="node"):
+            res.submit(duration, "compute")
+        assert res.queue_length == 0
+        assert not res.is_busy
+        assert sim.pending == 0
+
+    def test_non_finite_duration_rejected_while_busy(self, sim, res):
+        # Queued behind a running item, the bad duration used to wait
+        # and fail later inside the engine, without naming the resource.
+        res.submit(1.0, "compute", priority=1)
+        with pytest.raises(SimulationError, match="node"):
+            res.submit(float("nan"), "compute")
+        assert res.queue_length == 0
+        sim.run()
+        assert res.tasks_done == 1
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_set_rate_rejects_non_finite_or_non_positive(self, sim, res, rate):
+        res.submit(1.0, "compute", priority=1)
+        with pytest.raises(SimulationError, match="node"):
+            res.set_rate(rate)
+        assert res.rate == 1.0
+        sim.run()
+        # The in-progress item kept its nominal timing.
+        assert sim.now == 1.0
+        assert res.busy_time == 1.0
