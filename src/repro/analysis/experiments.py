@@ -26,6 +26,7 @@ from repro.core.hierarchy import Hierarchy
 from repro.core.params import ModelParams
 from repro.errors import SimulationError
 from repro.middleware.client import ClosedLoopClient
+from repro.middleware.messages import Request
 from repro.middleware.system import MiddlewareSystem
 from repro.sim.engine import Simulator
 from repro.workloads.loadgen import ClientRamp, RampResult
@@ -137,19 +138,22 @@ def run_fixed_load(
             f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
         )
     sim, system = _build_system(_as_hierarchy(hierarchy), params, app_work, seed)
+    done: list[Request] = []
     pool = [
-        ClosedLoopClient(system, f"client-{i:04d}") for i in range(clients)
+        ClosedLoopClient(system, f"client-{i:04d}", on_complete=done.append)
+        for i in range(clients)
     ]
     for index, client in enumerate(pool):
         sim.schedule(index * stagger, client.start)
     sim.run_until(duration)
     warmup_end = duration * warmup_fraction
     rate = system.completions.rate(warmup_end, duration)
+    # Submission order, so the means below sum in a fixed order.
+    done.sort(key=lambda r: r.request_id)
     finished = [
         r
-        for r in system._requests.values()
-        if r.is_complete and r.completed_at is not None
-        and r.completed_at > warmup_end
+        for r in done
+        if r.completed_at is not None and r.completed_at > warmup_end
     ]
     latencies = [r.total_latency for r in finished if r.total_latency]
     sched_latencies = [

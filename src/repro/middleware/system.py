@@ -802,7 +802,7 @@ class MiddlewareSystem:
         return request
 
     def _on_scheduled(self, request_id: int, server_name: str | None) -> None:
-        request = self._requests[request_id]
+        request = self._requests.pop(request_id)
         request.scheduled_at = self.sim.now
         request.selected_server = server_name
         waiter = self._schedule_waiters.pop(request_id, None)

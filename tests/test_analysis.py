@@ -9,6 +9,7 @@ from repro.analysis.compare import (
     predicted_vs_measured,
 )
 from repro.analysis.experiments import (
+    ExperimentResult,
     max_sustained_throughput,
     measure_load_curve,
     run_fixed_load,
@@ -35,6 +36,18 @@ def star(n_servers: int) -> Hierarchy:
     return h
 
 
+def two_level() -> Hierarchy:
+    h = Hierarchy()
+    h.set_root("ma", 300.0)
+    h.add_agent("la0", 200.0, "ma")
+    h.add_agent("la1", 150.0, "ma")
+    h.add_server("s0", 120.0, "la0")
+    h.add_server("s1", 260.0, "la0")
+    h.add_server("s2", 90.0, "la1")
+    h.add_server("s3", 310.0, "la1")
+    return h
+
+
 class TestRunFixedLoad:
     def test_saturated_load_matches_model(self, p):
         h = star(2)
@@ -58,6 +71,76 @@ class TestRunFixedLoad:
     def test_validation(self, p):
         with pytest.raises(SimulationError):
             run_fixed_load(star(1), p, 16.0, clients=0)
+
+    @pytest.mark.parametrize(
+        "hierarchy, app_work, options, expected",
+        [
+            pytest.param(
+                star(1),
+                16.0,
+                dict(clients=10, duration=10.0),
+                ExperimentResult(
+                    clients=10,
+                    throughput=16.5,
+                    mean_latency=0.604017434339626,
+                    mean_scheduling_latency=0.0007226490754711433,
+                    utilizations={
+                        "agent": 0.012221669811320803,
+                        "s0": 0.9999301618867925,
+                    },
+                    service_counts={"s0": 165},
+                    completed=165,
+                ),
+                id="star1",
+            ),
+            pytest.param(
+                star(2),
+                16.0,
+                dict(clients=40, duration=8.0),
+                ExperimentResult(
+                    clients=40,
+                    throughput=33.333333333333336,
+                    mean_latency=1.2085202275471651,
+                    mean_scheduling_latency=0.0007484264339622252,
+                    utilizations={
+                        "agent": 0.027719422641509766,
+                        "s0": 0.9999094801886793,
+                        "s1": 0.9986625136816037,
+                    },
+                    service_counts={"s0": 132, "s1": 132},
+                    completed=264,
+                ),
+                id="star2",
+            ),
+            pytest.param(
+                two_level(),
+                40.0,
+                dict(clients=30, duration=6.0, stagger=0.02, seed=3),
+                ExperimentResult(
+                    clients=30,
+                    throughput=19.166666666666668,
+                    mean_latency=1.5374756569394286,
+                    mean_scheduling_latency=0.0020161784857572643,
+                    utilizations={
+                        "ma": 0.015554400000000116,
+                        "la0": 0.02294640000000013,
+                        "la1": 0.030338399999999963,
+                        "s0": 0.9897077455370368,
+                        "s1": 0.9963470227763533,
+                        "s2": 0.9930410593703703,
+                        "s3": 0.9996755723416966,
+                    },
+                    service_counts={"s0": 17, "s1": 38, "s2": 13, "s3": 46},
+                    completed=114,
+                ),
+                id="two_level",
+            ),
+        ],
+    )
+    def test_results_are_pinned(self, p, hierarchy, app_work, options, expected):
+        """Exact results, recorded before latencies were collected from
+        client completions instead of the system's request registry."""
+        assert run_fixed_load(hierarchy, p, app_work, **options) == expected
         with pytest.raises(SimulationError):
             run_fixed_load(star(1), p, 16.0, clients=1, duration=0.0)
         with pytest.raises(SimulationError):

@@ -9,11 +9,23 @@ included), cancels of fired events, heaps deep enough to compact, and
 interleaved ``run`` / ``run_until`` / ``run_until_condition`` calls with
 and without event budgets — and both engines must agree on every firing,
 every clock reading, every counter and every exception.
+
+Programs also suspend and resume events.  The reference has neither, so
+it emulates ``suspend`` as ``cancel()`` and ``resume`` as scheduling the
+same callback anew — exactly the cancel + schedule that a serial
+resource's preemption used to do.  Once a program has suspended
+anything, the two heaps legitimately differ in size (a suspended or
+re-keyed entry stays queued), so ``pending`` and ``heap_compactions``
+are then left out of the comparison.  The same holds once time has gone
+backwards: the event that check drops stays cancellable, and the
+reference counts its cancel as a dead heap entry, which brings its next
+compaction forward; the engine knows the event left the heap.
 """
 
 from __future__ import annotations
 
 import engine_ref
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +46,9 @@ delays = st.one_of(
 horizons = st.sampled_from(GRID + [3.0, -1.0])  # -1: a run into the past
 budgets = st.one_of(st.none(), st.integers(min_value=-1, max_value=30))
 targets = st.integers(min_value=0, max_value=10**6)
+bad_delays = st.sampled_from([-1.0, float("nan"), float("inf")])
+# Resume delays: mostly valid, so the event really resumes.
+resume_delays = st.one_of(delays, delays, delays, bad_delays)
 behaviour_ids = st.integers(min_value=0, max_value=N_BEHAVIOURS - 1)
 
 # What a firing callback does, in order.
@@ -44,9 +59,10 @@ actions = st.one_of(
     st.tuples(
         st.just("cancel_range"), targets, st.integers(min_value=1, max_value=400)
     ),
-    st.tuples(
-        st.just("bad_child"), st.sampled_from([-1.0, float("nan"), float("inf")])
-    ),
+    st.tuples(st.just("bad_child"), bad_delays),
+    st.tuples(st.just("suspend"), targets),
+    st.tuples(st.just("resume"), targets, resume_delays),
+    st.tuples(st.just("resume_rest"), targets, delays),
 )
 behaviours = st.lists(
     st.lists(actions, max_size=3), min_size=N_BEHAVIOURS, max_size=N_BEHAVIOURS
@@ -66,6 +82,15 @@ operations = st.one_of(
         behaviour_ids,
     ),
     st.tuples(st.just("cancel"), targets),
+    st.tuples(st.just("suspend"), targets),
+    st.tuples(
+        st.just("suspend_range"), targets, st.integers(min_value=1, max_value=400)
+    ),
+    st.tuples(st.just("resume"), targets, resume_delays),
+    st.tuples(st.just("resume_rest"), targets, delays),
+    st.tuples(st.just("resume_rest"), targets, delays),
+    st.tuples(st.just("cycle"), targets, st.lists(delays, min_size=1, max_size=4)),
+    st.tuples(st.just("cancel_suspended"), targets),
     st.tuples(st.just("run"), budgets),
     st.tuples(st.just("run_until"), horizons, budgets),
     st.tuples(
@@ -85,19 +110,74 @@ class EngineRun:
 
     def __init__(self, module, behaviours):
         self.sim = module.Simulator()
+        self.reference = module is engine_ref
         self.behaviours = behaviours
         self.handles: list = []
+        self.callbacks: list = []
         self.log: list[tuple[int, float]] = []
+        # Labels whose current handle is suspended (on the reference:
+        # cancelled, waiting to be scheduled again).
+        self.suspended: set[int] = set()
+        # Set once the heap sizes may legitimately differ (see above).
+        self.heaps_differ = False
 
     def schedule(self, delay: float, behaviour: int) -> None:
         label = len(self.handles)
-        self.handles.append(
-            self.sim.schedule(delay, lambda: self.fire(label, behaviour))
-        )
+
+        def callback():
+            self.fire(label, behaviour)
+
+        self.handles.append(self.sim.schedule(delay, callback))
+        self.callbacks.append(callback)
 
     def cancel(self, target: int) -> None:
         if self.handles:
-            self.handles[target % len(self.handles)].cancel()
+            label = target % len(self.handles)
+            self.handles[label].cancel()
+            self.suspended.discard(label)
+
+    def suspend(self, target: int) -> None:
+        """Suspend the target's handle if it is live (pending, not
+        suspended); otherwise do nothing, on both engines alike."""
+        if not self.handles:
+            return
+        label = target % len(self.handles)
+        handle = self.handles[label]
+        if label in self.suspended or handle.cancelled:
+            return
+        if self.reference:
+            handle.cancel()
+        else:
+            self.sim.suspend(handle)
+        self.suspended.add(label)
+        self.heaps_differ = True
+
+    def pick_suspended(self, index: int) -> int:
+        labels = sorted(self.suspended)
+        return labels[index % len(labels)]
+
+    def resume(self, index: int, delay: float) -> None:
+        """Resume one of the suspended labels, chosen by ``index``."""
+        if self.suspended:
+            self.resume_label(self.pick_suspended(index), delay)
+
+    def resume_rest(self, index: int, pause: float) -> None:
+        """Resume a suspended label ``pause`` seconds later than it was
+        due, as a preempted item does; the delay is computed from the
+        clock, so float rounding can put the new key below the old."""
+        if not self.suspended:
+            return
+        label = self.pick_suspended(index)
+        rest = self.handles[label].time - self.sim.now
+        self.resume_label(label, (rest if rest > 0.0 else 0.0) + pause)
+
+    def resume_label(self, label: int, delay: float) -> None:
+        if self.reference:
+            handle = self.sim.schedule(delay, self.callbacks[label])
+        else:
+            handle = self.sim.resume(self.handles[label], delay)
+        self.handles[label] = handle
+        self.suspended.discard(label)
 
     def fire(self, label: int, behaviour: int) -> None:
         self.log.append((label, self.sim.now))
@@ -113,6 +193,12 @@ class EngineRun:
             elif kind == "cancel_range":
                 for offset in range(action[2]):
                     self.cancel(action[1] + offset)
+            elif kind == "suspend":
+                self.suspend(action[1])
+            elif kind == "resume":  # a bad delay's error escapes the run
+                self.resume(action[1], action[2])
+            elif kind == "resume_rest":
+                self.resume_rest(action[1], action[2])
             else:  # bad_child: the schedule error escapes the run
                 self.sim.schedule(action[1], lambda: None)
 
@@ -134,6 +220,29 @@ class EngineRun:
                 return None
             if kind == "cancel":
                 return self.cancel(op[1])
+            if kind == "suspend":
+                return self.suspend(op[1])
+            if kind == "suspend_range":
+                for offset in range(op[2]):
+                    self.suspend(op[1] + offset)
+                return None
+            if kind == "resume":
+                return self.resume(op[1], op[2])
+            if kind == "resume_rest":
+                return self.resume_rest(op[1], op[2])
+            if kind == "cycle":  # suspend and resume one handle repeatedly
+                if self.handles:
+                    label = op[1] % len(self.handles)
+                    for delay in op[2]:
+                        self.suspend(label)
+                        if label not in self.suspended:
+                            break
+                        self.resume_label(label, delay)
+                return None
+            if kind == "cancel_suspended":
+                if self.suspended:
+                    self.cancel(self.pick_suspended(op[1]))
+                return None
             if kind == "run":
                 return sim.run(max_events=op[1])
             if kind == "run_until":
@@ -153,17 +262,31 @@ class EngineRun:
             sim.now += op[1]  # warp: later pops may find time going backwards
             return None
         except SimulationError as error:  # compared across engines
+            if str(error).startswith("time went backwards"):
+                self.heaps_differ = True
             return (type(error), str(error))
 
     def state(self):
+        """Clock, counters and every handle's due key and liveness.
+
+        A suspended handle reads its last due key (the fast engine
+        negates its sequence) and counts as not pending, like the
+        reference's cancelled one.
+        """
         sim = self.sim
+        sequence = sim._sequence if self.reference else sim.events_scheduled
+        heap = () if self.heaps_differ else (sim.pending, sim.heap_compactions)
         return (
             sim.now,
             sim.events_processed,
-            sim.pending,
-            sim.heap_compactions,
+            sequence,
+            heap,
             len(self.log),
-            [(h.time, h.sequence, h.cancelled) for h in self.handles],
+            sorted(self.suspended),
+            [
+                (h.time, abs(h.sequence), h.cancelled or label in self.suspended)
+                for label, h in enumerate(self.handles)
+            ],
         )
 
 
@@ -200,3 +323,69 @@ def test_program_exercises_compaction_during_a_run():
     assert fast.sim.heap_compactions > 0
     assert fast.log == ref.log
     assert fast.state() == ref.state()
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [
+        ("run_until", 1.5, None),
+        ("run_until_condition", 3.0, 1, None),
+        ("step",),
+        ("peek",),
+        ("run", 1),
+    ],
+    ids=lambda op: op[0],
+)
+@pytest.mark.parametrize("then", ["resume", "resume_rest", "cancel_suspended"])
+def test_suspended_entry_surfaces(surface, then):
+    """A suspended entry reaches the heap top — behind a stale one — in
+    each of the engine's entry points; the parked event is then resumed
+    or cancelled."""
+    program_behaviours = [[]] * N_BEHAVIOURS
+    program = [
+        ("schedule", 1.0, 0),  # 0: suspended; its entry surfaces
+        ("schedule", 2.0, 0),  # 1
+        ("schedule", 1.0, 0),  # 2: resumed twice
+        ("suspend", 0),
+        # The first resume sorts below the queued entry (a fresh event);
+        # the second re-keys that event's entry, which goes stale.
+        ("cycle", 2, [0.5, 1.5]),
+        surface,
+    ]
+    fast = EngineRun(engine, program_behaviours)
+    ref = EngineRun(engine_ref, program_behaviours)
+    for op in program:
+        assert fast.apply(op) == ref.apply(op), op
+        assert fast.log == ref.log, op
+        assert fast.state() == ref.state(), op
+    assert fast.handles[0].owner is None  # parked: its entry left the heap
+    dead = fast.sim._cancelled_in_heap
+    follow = ("cancel_suspended", 0) if then == "cancel_suspended" else (then, 0, 0.25)
+    for op in (follow, ("run", None)):
+        assert fast.apply(op) == ref.apply(op), op
+        assert fast.log == ref.log, op
+        assert fast.state() == ref.state(), op
+        if op is follow:
+            # Cancelling a parked event leaves no dead entry to count.
+            assert fast.sim._cancelled_in_heap == dead
+
+
+def test_event_dropped_by_the_backwards_check_can_be_resumed():
+    """Time went backwards: the event that check popped never fires,
+    but a suspend + resume queues it again, as cancel + schedule does."""
+    program_behaviours = [[]] * N_BEHAVIOURS
+    program = [
+        ("schedule", 0.0, 0),
+        ("warp", 0.25),
+        ("step",),
+        ("suspend", 0),
+        ("resume", 0, 0.0),
+        ("run", None),
+    ]
+    fast = EngineRun(engine, program_behaviours)
+    ref = EngineRun(engine_ref, program_behaviours)
+    for op in program:
+        assert fast.apply(op) == ref.apply(op), op
+        assert fast.log == ref.log, op
+        assert fast.state() == ref.state(), op
+    assert fast.log == [(0, 0.25)]

@@ -47,6 +47,22 @@ class TestRequestLifecycle:
         assert request.scheduled_at is not None
         assert request.completed_at >= request.scheduled_at >= request.submitted_at
 
+    def test_registry_holds_only_in_flight_scheduling_rounds(self, p):
+        sim = Simulator()
+        system = MiddlewareSystem(sim, two_level(), p, app_work=1.0)
+        clients = [ClosedLoopClient(system, f"c{i}") for i in range(8)]
+        for i, client in enumerate(clients):
+            sim.schedule(i * 0.01, client.start)
+        sim.run_until(3.0)
+        assert sum(client.completed for client in clients) > 100
+        # A request leaves the registry when its scheduling round returns.
+        assert set(system._requests) == set(system._schedule_waiters)
+        assert len(system._requests) <= len(clients)
+        for client in clients:
+            client.stop()
+        sim.run()
+        assert system._requests == {}
+
     def test_latency_decomposition(self, p):
         sim = Simulator()
         system = MiddlewareSystem(sim, star(1), p, app_work=16.0)

@@ -186,14 +186,16 @@ class ResourceHarness:
     only turns idle on a completion (its ``on_done`` runs after the state
     update) or a halt, so watching ``is_busy`` around those calls times
     every idle interval exactly — independently of the resource's own
-    busy-time bookkeeping.
+    busy-time bookkeeping.  ``simulator`` and ``resource`` select the
+    implementations under test; ``log`` records ``(item, now)`` per
+    completion.
     """
 
-    def __init__(self):
-        self.sim = Simulator()
-        self.resource = SerialResource(self.sim, "node")
+    def __init__(self, simulator=Simulator, resource=SerialResource):
+        self.sim = simulator()
+        self.resource = resource(self.sim, "node")
         self.accepted = 0
-        self.fired: list[int] = []
+        self.log: list[tuple[int, float]] = []
         self.fired_while_halted = 0
         self.dropped = 0
         self.idle = 0.0
@@ -214,7 +216,7 @@ class ResourceHarness:
         def on_done():
             if self.resource.is_halted:
                 self.fired_while_halted += 1
-            self.fired.append(item)
+            self.log.append((item, self.sim.now))
             if not self.resource.is_busy:
                 self.idle_since = self.sim.now
 
@@ -266,7 +268,7 @@ class TestResourceInterleavings:
             harness.apply(op)
         harness.sim.run()
         harness.check()
-        fired = harness.fired
+        fired = [item for item, _ in harness.log]
         # Work fired == work submitted less what the halt dropped; items
         # offered to a halted resource never fire.
         assert -1 not in fired

@@ -86,6 +86,104 @@ class TestCancellation:
         assert sim.peek_time() == 2.0
 
 
+class TestSuspendResume:
+    def test_suspended_event_does_not_fire_until_resumed(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.suspend(event)
+        assert not event.cancelled
+        sim.run_until(5.0)
+        assert fired == []
+        assert sim.resume(event, 0.5) is event
+        sim.run()
+        assert fired == [5.5]
+
+    def test_resume_re_keys_in_place(self):
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        sim.schedule(0.0, lambda: None)
+        sim.suspend(event)
+        assert event.sequence == -1  # suspension negates the sequence
+        assert sim.resume(event, 2.0) is event
+        # The due key reads back at once; the heap entry is re-keyed
+        # only when it reaches the top.
+        assert (event.time, event.sequence) == (2.0, 3)
+        assert sim.pending == 2
+        assert sim.events_scheduled == 3
+
+    def test_resume_below_queued_key_uses_a_fresh_event(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(2.0, lambda: fired.append(sim.now))
+        sim.suspend(event)
+        resumed = sim.resume(event, 0.5)
+        assert resumed is not event
+        assert event.cancelled and not resumed.cancelled
+        assert (resumed.time, resumed.sequence) == (0.5, 2)
+        assert sim.events_cancelled == 1
+        sim.run()
+        assert fired == [0.5]
+
+    def test_resumed_event_fires_in_schedule_order(self):
+        """Re-keyed, the event fires exactly where a cancel + schedule at
+        the moment of resumption would have put it."""
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append("resumed"))
+        sim.suspend(event)
+        sim.schedule(1.5, lambda: fired.append("before"))
+        sim.resume(event, 1.5)
+        sim.schedule(1.5, lambda: fired.append("after"))
+        sim.run()
+        assert fired == ["before", "resumed", "after"]
+
+    def test_cancel_of_parked_event_counts_no_dead_entry(self):
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        sim.suspend(event)
+        assert sim.peek_time() is None  # the entry surfaced: parked
+        assert sim.pending == 0 and event.owner is None
+        event.cancel()
+        assert event.cancelled
+        assert sim._cancelled_in_heap == 0
+        assert sim.events_cancelled == 0
+
+    def test_cancel_of_queued_suspended_event_counts_a_dead_entry(self):
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        sim.suspend(event)
+        event.cancel()
+        assert sim._cancelled_in_heap == 1
+        sim.run()
+        assert sim.pending == 0 and sim._cancelled_in_heap == 0
+        assert sim.events_processed == 0
+
+    def test_invalid_suspend_and_resume_rejected(self):
+        sim = Simulator()
+        fired = sim.schedule(0.0, lambda: None)
+        sim.run()
+        live = sim.schedule(1.0, lambda: None)
+        other = Simulator().schedule(1.0, lambda: None)
+        for event in (fired, other):
+            with pytest.raises(SimulationError, match="suspend a live event"):
+                sim.suspend(event)
+        with pytest.raises(SimulationError, match="resume a suspended event"):
+            sim.resume(live, 1.0)
+        sim.suspend(live)
+        with pytest.raises(SimulationError, match="suspend a live event"):
+            sim.suspend(live)
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan"), float("inf")])
+    def test_resume_rejects_bad_delay(self, delay):
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        sim.suspend(event)
+        with pytest.raises(SimulationError, match="finite"):
+            sim.resume(event, delay)
+        assert event.sequence == -1 and sim.events_scheduled == 1
+
+
 class TestHeapCompaction:
     @staticmethod
     def churn(sim, rounds=2000, keep_every=10):

@@ -127,6 +127,31 @@ class TestPriorityPreemption:
         sim.run()
         assert done == [1.0]
 
+    def test_preemption_suspends_the_completion(self, sim, res):
+        res.submit(4.0, "compute", priority=1)
+        completion = res._completion
+        sim.schedule(1.0, lambda: res.submit(0.5, "send"))
+        sim.schedule(2.0, lambda: res.submit(0.5, "send"))
+        sim.run()
+        # Both preemptions suspended the one completion event and resumed
+        # it; nothing was cancelled, and it fired at the conserved time.
+        assert res.preemptions == 2
+        assert sim.events_cancelled == 0
+        assert completion.cancelled and completion.time == 5.0
+        assert res.tasks_done == 3
+
+    def test_halt_cancels_suspended_completions(self, sim, res):
+        done = []
+        res.submit(4.0, "compute", lambda: done.append("low"), priority=1)
+        sim.schedule(1.0, lambda: res.submit(2.0, "send"))
+        sim.run_until(2.0)
+        assert res.queue_length == 1  # the preempted item, suspended
+        assert res.halt() == 2
+        # The running item's completion and the suspended one.
+        assert sim.events_cancelled == 2
+        sim.run()
+        assert done == [] and sim.pending == 0
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
