@@ -57,6 +57,7 @@ from repro.deploy.xml_io import plan_from_xml, plan_to_xml
 from repro.errors import ReproError
 from repro.platforms.background import heterogenize
 from repro.platforms.pool import NodePool
+from repro.specs import split_options
 from repro.units import dgemm_mflop
 from repro.workloads.loadgen import ClientRamp
 
@@ -149,15 +150,7 @@ def _options_from_args(
     items = getattr(args, attribute, None)
     if not items:
         return None
-    options: dict[str, str] = {}
-    for item in items:
-        key, separator, value = item.partition("=")
-        if not separator or not key:
-            raise ReproError(
-                f"{flag} expects key=value, got {item!r}"
-            )
-        options[key.strip().replace("-", "_")] = value.strip()
-    return options
+    return split_options(items, ReproError, flag)
 
 
 # ---------------------------------------------------------------------- #
@@ -341,9 +334,7 @@ def _sweep_policy_options(
     for policy in policies:
         accepted = accepted_options(policy)
         chosen = {
-            key: value
-            for key, value in options.items()
-            if accepted is None or key in accepted
+            key: value for key, value in options.items() if key in accepted
         }
         claimed.update(chosen)
         if chosen:

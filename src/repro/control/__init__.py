@@ -27,6 +27,7 @@ _EXPORTS = {
     "ControlTimeline": "repro.control.loop",
     "EpochRecord": "repro.control.loop",
     "MigrationStepRecord": "repro.control.loop",
+    "DetectionRecord": "repro.control.loop",
     "SLOMonitor": "repro.control.monitor",
     "WindowObservation": "repro.control.monitor",
     "MIGRATION_MODES": "repro.control.policy",
@@ -56,10 +57,12 @@ _EXPORTS = {
     "HoldOptions": "repro.control.policy",
     "ReactiveOptions": "repro.control.policy",
     "PredictiveOptions": "repro.control.policy",
+    "SeasonalPredictiveOptions": "repro.control.policy",
     "OracleOptions": "repro.control.policy",
     "StaticPolicy": "repro.control.policy",
     "ReactivePolicy": "repro.control.policy",
     "PredictivePolicy": "repro.control.policy",
+    "SeasonalPredictivePolicy": "repro.control.policy",
     "OraclePolicy": "repro.control.policy",
     "register_policy": "repro.control.policy",
     "available_policies": "repro.control.policy",
@@ -93,59 +96,4 @@ def __dir__():
     return sorted(set(globals()) | set(_EXPORTS))
 
 
-__all__ = [
-    "MIGRATION_MODES",
-    "PROTOCOL_VERSION",
-    "EXECUTOR_KINDS",
-    "MigrationCommand",
-    "RegionReport",
-    "plan_commands",
-    "commands_to_plan",
-    "parse_command",
-    "parse_report",
-    "execute_command",
-    "InProcessExecutor",
-    "ProcessExecutor",
-    "make_executor",
-    "SCHEMA_VERSION",
-    "DeploymentRegistry",
-    "RegistryEntry",
-    "serialize_tree",
-    "restore_tree",
-    "tree_digest",
-    "ControlLoop",
-    "ControlTimeline",
-    "EpochRecord",
-    "MigrationStepRecord",
-    "SLOMonitor",
-    "WindowObservation",
-    "ControlContext",
-    "ControlDecision",
-    "ControlPolicy",
-    "MigrationCostModel",
-    "PolicyOptions",
-    "HoldOptions",
-    "ReactiveOptions",
-    "PredictiveOptions",
-    "OracleOptions",
-    "StaticPolicy",
-    "ReactivePolicy",
-    "PredictivePolicy",
-    "OraclePolicy",
-    "register_policy",
-    "available_policies",
-    "make_policy",
-    "Trace",
-    "HybridTrace",
-    "constant",
-    "piecewise",
-    "ramp",
-    "diurnal",
-    "burst",
-    "flash_crowd",
-    "replay",
-    "fixture",
-    "fixtures",
-    "hybrid",
-    "from_spec",
-]
+__all__ = list(_EXPORTS)

@@ -56,6 +56,7 @@ import random
 from collections.abc import Callable, Sequence
 
 from repro.errors import ControlError
+from repro.specs import convert_options, split_options
 
 __all__ = [
     "Trace",
@@ -456,6 +457,25 @@ def fixture(name: str, scale: float = 1.0) -> Trace:
 # CLI spec parsing
 
 
+def _piecewise_spec(steps: str = "") -> Trace:
+    """``piecewise`` from its ``time/level|time/level`` spec spelling."""
+    pairs = []
+    for pair in steps.split("|"):
+        if not pair.strip():
+            continue
+        parts = pair.split("/")
+        try:
+            if len(parts) != 2:
+                raise ValueError(f"{pair!r} is not one time/level pair")
+            pairs.append((float(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise ControlError(
+                f"piecewise steps must be time/level pairs joined by "
+                f"'|', got {steps!r}: {exc}"
+            ) from exc
+    return piecewise(pairs)
+
+
 _SPEC_BUILDERS: dict[str, tuple[Callable[..., Trace], dict[str, type]]] = {
     "constant": (constant, {"level": int}),
     "ramp": (
@@ -474,7 +494,12 @@ _SPEC_BUILDERS: dict[str, tuple[Callable[..., Trace], dict[str, type]]] = {
         flash_crowd,
         {"base": int, "peak": int, "at": float, "rise": float, "fall": float},
     ),
+    "piecewise": (_piecewise_spec, {"steps": str}),
+    "fixture": (fixture, {"name": str, "scale": float}),
 }
+
+#: The grammar-wide hybrid keys (see :func:`hybrid`).
+_HYBRID_FIELDS = {"population": float, "cohort": int}
 
 
 def from_spec(spec: str) -> Trace:
@@ -515,122 +540,44 @@ def from_spec(spec: str) -> Trace:
     if name == "fixture" and body.strip() and "=" not in body:
         # Compact (round-trippable) form: "fixture:NAME" or
         # "fixture:NAME*SCALE" — the spelling of Trace.name.
-        raw_name, star, raw_scale = body.strip().partition("*")
+        raw_name, star, raw_scale = body.partition("*")
+        kwargs = {"name": raw_name.strip()}
         if star:
-            try:
-                scale = float(raw_scale)
-            except ValueError as exc:
-                raise ControlError(
-                    f"trace option scale={raw_scale!r} is not a valid float"
-                ) from exc
-        else:
-            scale = 1.0
-        return fixture(raw_name.strip(), scale=scale)
-    kwargs: dict[str, str] = {}
-    if body.strip():
-        for item in body.split(","):
-            key, separator, value = item.partition("=")
-            if not separator or not key.strip():
-                raise ControlError(
-                    f"trace spec expects key=value items, got {item!r}"
-                )
-            # Accept dashed keys like every other key=value CLI surface.
-            kwargs[key.strip().replace("-", "_")] = value.strip()
+            kwargs["scale"] = raw_scale.strip()
+    else:
+        items = body.split(",") if body.strip() else ()
+        kwargs = split_options(items, ControlError, "trace spec")
     # Hybrid keys are grammar-wide, not per-builder: pop them before any
     # builder sees (and rejects) them.
-    raw_population = kwargs.pop("population", None)
-    raw_cohort = kwargs.pop("cohort", None)
-    trace = _build_base(name, kwargs)
-    if raw_population is None and raw_cohort is None:
-        return trace
-    population = 1.0
-    if raw_population is not None:
-        try:
-            population = float(raw_population)
-        except ValueError as exc:
-            raise ControlError(
-                f"trace option population={raw_population!r} is not a "
-                f"valid float"
-            ) from exc
-    cohort = 16
-    if raw_cohort is not None:
-        try:
-            cohort = int(raw_cohort)
-        except ValueError as exc:
-            raise ControlError(
-                f"trace option cohort={raw_cohort!r} is not a valid int"
-            ) from exc
-    trace = HybridTrace(trace, population=population, cohort=cohort)
-    # The spec itself is the canonical name: exact round-trip through
-    # from_spec(trace.name).
-    trace.name = spec
-    return trace
-
-
-def _build_base(name: str, kwargs: dict[str, str]) -> Trace:
-    """Dispatch the keyed spec forms (fixture / piecewise / builders)."""
-    if name == "fixture":
-        fixture_name = kwargs.pop("name", "")
-        raw_scale = kwargs.pop("scale", "1.0")
-        if kwargs:
-            raise ControlError(
-                "fixture trace only takes name=... and scale=..., got "
-                f"{sorted(kwargs)}"
-            )
-        try:
-            scale = float(raw_scale)
-        except ValueError as exc:
-            raise ControlError(
-                f"trace option scale={raw_scale!r} is not a valid float"
-            ) from exc
-        return fixture(fixture_name, scale=scale)
-    if name == "piecewise":
-        raw = kwargs.pop("steps", "")
-        if kwargs:
-            raise ControlError(
-                f"piecewise trace only takes steps=..., got {sorted(kwargs)}"
-            )
-        steps = []
-        for pair in raw.split("|"):
-            if not pair.strip():
-                continue
-            parts = pair.split("/")
-            try:
-                if len(parts) != 2:
-                    raise ValueError(f"{pair!r} is not one time/level pair")
-                steps.append((float(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise ControlError(
-                    f"piecewise steps must be time/level pairs joined by "
-                    f"'|', got {raw!r}: {exc}"
-                ) from exc
-        return piecewise(steps)
+    hybrid_options = {
+        key: kwargs.pop(key) for key in _HYBRID_FIELDS if key in kwargs
+    }
     if name not in _SPEC_BUILDERS:
         raise ControlError(
             f"unknown trace type {name!r}; expected one of "
-            f"{sorted([*_SPEC_BUILDERS, 'piecewise', 'fixture'])} "
+            f"{sorted(_SPEC_BUILDERS)} "
             f"or a fixture name ({', '.join(fixtures())})"
         )
     builder, fields = _SPEC_BUILDERS[name]
-    unknown = sorted(set(kwargs) - set(fields))
-    if unknown:
-        raise ControlError(
-            f"unknown trace option(s) {unknown} for {name!r}; "
-            f"valid options: {sorted(fields)}"
-        )
-    converted: dict[str, object] = {}
-    for key, value in kwargs.items():
-        try:
-            converted[key] = fields[key](value)
-        except ValueError as exc:
-            raise ControlError(
-                f"trace option {key}={value!r} is not a valid "
-                f"{fields[key].__name__}"
-            ) from exc
+    converted = convert_options(
+        kwargs, fields, ControlError, f"trace {name!r}"
+    )
     try:
-        return builder(**converted)
+        trace = builder(**converted)
     except TypeError as exc:
         raise ControlError(
             f"trace {name!r} is missing required options "
             f"(valid options: {sorted(fields)}): {exc}"
         ) from exc
+    if not hybrid_options:
+        return trace
+    trace = HybridTrace(
+        trace,
+        **convert_options(
+            hybrid_options, _HYBRID_FIELDS, ControlError, "trace"
+        ),
+    )
+    # The spec itself is the canonical name: exact round-trip through
+    # from_spec(trace.name).
+    trace.name = spec
+    return trace

@@ -76,6 +76,7 @@ from repro.core.params import DEFAULT_PARAMS, ModelParams
 from repro.core.throughput import ThroughputReport, hierarchy_throughput
 from repro.errors import PlanningError
 from repro.platforms.pool import NodePool
+from repro.specs import convert_options
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import PlanRequest
@@ -167,29 +168,24 @@ class PlannerOptions:
     unknown keys with a message that lists the valid ones.
     """
 
+    #: Error class of option failures (bad keys, unparsable values).
+    error_type = PlanningError
+
     @classmethod
     def coerce(cls, mapping: Mapping[str, object]) -> "PlannerOptions":
         """Build options from a mapping, converting strings to field types."""
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = sorted(set(mapping) - set(fields))
-        if unknown:
-            raise PlanningError(
-                f"unknown planner options: {unknown}; "
-                f"{cls.__name__} accepts {sorted(fields) or 'no options'}"
-            )
         # Resolve annotations to real types so conversion works whether or
         # not the defining module uses `from __future__ import annotations`.
         try:
             hints = typing.get_type_hints(cls)
         except Exception:
-            hints = {name: f.type for name, f in fields.items()}
-        kwargs = {
-            key: _convert_option(
-                cls.__name__, key, hints.get(key, fields[key].type), value
-            )
-            for key, value in mapping.items()
+            hints = {}
+        fields = {
+            f.name: hints.get(f.name, f.type) for f in dataclasses.fields(cls)
         }
-        return cls(**kwargs)
+        return cls(
+            **convert_options(mapping, fields, cls.error_type, cls.__name__)
+        )
 
     def summary(self) -> str:
         """``key=value`` rendering of the non-default fields."""
@@ -208,36 +204,6 @@ class PlannerOptions:
             if value != default:
                 parts.append(f"{f.name}={value!r}")
         return ", ".join(parts)
-
-
-def _convert_option(
-    owner: str, name: str, hint: object, value: object
-) -> object:
-    """Convert a CLI-style string to the declared field type."""
-    if not isinstance(value, str):
-        return value
-    declared = hint.__name__ if isinstance(hint, type) else str(hint)
-    try:
-        if "tuple[int" in declared:
-            return tuple(int(p) for p in value.split(",") if p.strip())
-        if "tuple[float" in declared:
-            return tuple(float(p) for p in value.split(",") if p.strip())
-        if declared.startswith("bool"):
-            lowered = value.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
-        if declared.startswith("int"):
-            return int(value)
-        if declared.startswith("float"):
-            return float(value)
-        return value
-    except ValueError as exc:
-        raise PlanningError(
-            f"{owner}.{name}: cannot parse {value!r} as {declared}"
-        ) from exc
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,10 @@ members fail together rather than independently.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from repro.errors import FaultError
+from repro.specs import convert_options, split_options
 
 __all__ = [
     "FAULT_KINDS",
@@ -306,64 +307,38 @@ def subtree_storm(
 # CLI spec parsing (mirrors repro.control.traces.from_spec)
 
 
-_SPEC_FIELDS: dict[str, dict[str, type]] = {
-    "crash": {"target": str, "at": float},
-    "degrade": {"target": str, "at": float, "factor": float},
-    "partition": {"target": str, "at": float},
-    "heal": {"target": str, "at": float},
-    "storm": {
-        "count": int, "start": float, "end": float, "seed": int,
-        "target": str,
-    },
-    "subtree_storm": {
-        "count": int, "start": float, "end": float, "seed": int,
-        "targets": str,
-    },
+_SPEC_BUILDERS: dict[str, tuple[Callable[..., FaultSchedule], dict]] = {
+    "crash": (crash, {"target": str, "at": float}),
+    "degrade": (degrade, {"target": str, "at": float, "factor": float}),
+    "partition": (partition, {"target": str, "at": float}),
+    "heal": (heal, {"target": str, "at": float}),
+    "storm": (
+        crash_storm,
+        {"count": int, "start": float, "end": float, "seed": int,
+         "target": str},
+    ),
+    "subtree_storm": (
+        subtree_storm,
+        {"count": int, "start": float, "end": float, "seed": int,
+         "targets": str},
+    ),
 }
 
 
 def _parse_event(item: str) -> FaultSchedule:
     name, _, body = item.partition(":")
     name = name.strip().lower().replace("-", "_")
-    if name not in _SPEC_FIELDS:
+    if name not in _SPEC_BUILDERS:
         raise FaultError(
             f"unknown fault kind {name!r}; expected one of "
-            f"{sorted(_SPEC_FIELDS)}"
+            f"{sorted(_SPEC_BUILDERS)}"
         )
-    fields = _SPEC_FIELDS[name]
-    kwargs: dict[str, object] = {}
-    for part in body.split(","):
-        if not part.strip():
-            continue
-        key, separator, value = part.partition("=")
-        if not separator or not key.strip():
-            raise FaultError(
-                f"fault spec expects key=value items, got {part!r}"
-            )
-        # Accept dashed keys like every other key=value CLI surface.
-        key = key.strip().replace("-", "_")
-        if key not in fields:
-            raise FaultError(
-                f"unknown fault option {key!r} for {name!r}; "
-                f"valid options: {sorted(fields)}"
-            )
-        try:
-            kwargs[key] = fields[key](value.strip())
-        except ValueError as exc:
-            raise FaultError(
-                f"fault option {key}={value.strip()!r} is not a valid "
-                f"{fields[key].__name__}"
-            ) from exc
+    builder, fields = _SPEC_BUILDERS[name]
+    items = (part for part in body.split(",") if part.strip())
+    options = split_options(items, FaultError, "fault spec")
+    kwargs = convert_options(options, fields, FaultError, f"fault {name!r}")
     try:
-        if name == "storm":
-            return crash_storm(**kwargs)  # type: ignore[arg-type]
-        if name == "subtree_storm":
-            return subtree_storm(**kwargs)  # type: ignore[arg-type]
-        builder = {
-            "crash": crash, "degrade": degrade,
-            "partition": partition, "heal": heal,
-        }[name]
-        return builder(**kwargs)  # type: ignore[operator]
+        return builder(**kwargs)
     except TypeError as exc:
         raise FaultError(
             f"fault {name!r} is missing required options "

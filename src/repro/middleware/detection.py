@@ -30,8 +30,9 @@ per seed.
 
 Spec grammar
 ------------
-``DetectionParams`` round-trips through a ``key=value`` spec string in
-the same style as traces, policies and fault schedules::
+``DetectionParams`` round-trips through a ``key=value`` spec string,
+split and typed by the grammar traces, policies and fault schedules
+share (:mod:`repro.specs`)::
 
     timeout=0.5,retries=1,backoff=2,threshold=3,grace=4
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ControlError
+from repro.specs import convert_options, split_options
 
 __all__ = [
     "DetectionError",
@@ -208,14 +210,16 @@ class DetectionState:
         )
 
 
-_SPEC_KEYS = {
-    "timeout": ("timeout", float),
-    "retries": ("retries", int),
-    "backoff": ("backoff", float),
-    "threshold": ("suspicion_threshold", int),
-    "suspicion-threshold": ("suspicion_threshold", int),
-    "suspicion_threshold": ("suspicion_threshold", int),
-    "grace": ("grace", float),
+#: Spec keys: the params' fields, the ``threshold`` short alias of
+#: ``suspicion_threshold``, and the loop's ``reserve``.
+_SPEC_FIELDS = {
+    "timeout": float,
+    "retries": int,
+    "backoff": float,
+    "threshold": int,
+    "suspicion_threshold": int,
+    "grace": float,
+    "reserve": float,
 }
 
 
@@ -226,49 +230,23 @@ def parse_detection(spec: str) -> tuple[DetectionParams, float | None]:
     ``spare_reserve`` fraction if the spec carried one, else ``None``.
     ``DetectionParams.spec`` round-trips exactly (``reserve`` is loop
     state and intentionally not part of the canonical params spec).
+    Keys are case-insensitive; every value is a number.
     """
     if not isinstance(spec, str) or not spec.strip():
         raise DetectionError(f"empty detection spec: {spec!r}")
-    kwargs: dict[str, object] = {}
-    reserve: float | None = None
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
+    items = (chunk for chunk in spec.lower().split(",") if chunk.strip())
+    options = split_options(items, DetectionError, "detection spec")
+    if "threshold" in options:
+        if "suspicion_threshold" in options:
             raise DetectionError(
-                f"malformed detection spec chunk {chunk!r} "
-                "(expected key=value)"
+                "duplicate detection spec key 'suspicion_threshold' "
+                "(threshold is its alias)"
             )
-        key, _, value = chunk.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if key == "reserve":
-            try:
-                reserve = float(value)
-            except ValueError:
-                raise DetectionError(
-                    f"reserve must be a float, got {value!r}"
-                ) from None
-            if not 0.0 <= reserve < 1.0:
-                raise DetectionError(
-                    f"reserve must be in [0, 1), got {reserve!r}"
-                )
-            continue
-        mapped = _SPEC_KEYS.get(key)
-        if mapped is None:
-            raise DetectionError(
-                f"unknown detection spec key {key!r} "
-                f"(known: {sorted(set(_SPEC_KEYS))} + ['reserve'])"
-            )
-        field, cast = mapped
-        if field in kwargs:
-            raise DetectionError(f"duplicate detection spec key {key!r}")
-        try:
-            kwargs[field] = cast(value)
-        except ValueError:
-            raise DetectionError(
-                f"detection spec key {key!r} needs a {cast.__name__}, "
-                f"got {value!r}"
-            ) from None
+        options["suspicion_threshold"] = options.pop("threshold")
+    kwargs = convert_options(
+        options, _SPEC_FIELDS, DetectionError, "detection"
+    )
+    reserve = kwargs.pop("reserve", None)
+    if reserve is not None and not 0.0 <= reserve < 1.0:
+        raise DetectionError(f"reserve must be in [0, 1), got {reserve!r}")
     return DetectionParams(**kwargs), reserve

@@ -217,14 +217,18 @@ class TestPolicyRegistry:
             make_policy("reactive", {"vibes": "1"})
 
     def test_make_policy_rejects_bad_boolean_string(self):
-        from repro.control import register_policy
+        from dataclasses import dataclass
+
+        from repro.control import PolicyOptions, register_policy
         from repro.control.policy import ControlPolicy, _POLICIES
+
+        @dataclass(frozen=True)
+        class FlaggedOptions(PolicyOptions):
+            strict: bool = True
 
         class FlaggedPolicy(ControlPolicy):
             name = "flagged-test"
-
-            def __init__(self, strict: bool = True):
-                self.strict = strict
+            options_type = FlaggedOptions
 
             def decide(self, ctx):
                 return ControlDecision.hold()
@@ -595,7 +599,7 @@ class TestControlLoop:
         with pytest.raises(ControlError, match="valid options"):
             make_policy("reactive", {"self": "1"})
 
-    def test_defaultless_option_rejects_strings_at_parse_time(self):
+    def test_register_rejects_policy_without_typed_options(self):
         from repro.control import register_policy
         from repro.control.policy import ControlPolicy, _POLICIES
 
@@ -608,16 +612,9 @@ class TestControlLoop:
             def decide(self, ctx):
                 return ControlDecision.hold()
 
-        register_policy(ThresholdPolicy)
-        try:
-            with pytest.raises(ControlError, match="no default"):
-                make_policy("threshold-test", {"threshold": "0.5"})
-            # Pre-typed values still pass straight through.
-            assert make_policy(
-                "threshold-test", {"threshold": 0.5}
-            ).threshold == 0.5
-        finally:
-            del _POLICIES["threshold-test"]
+        with pytest.raises(ControlError, match="threshold-test"):
+            register_policy(ThresholdPolicy)
+        assert "threshold-test" not in _POLICIES
 
     def test_redeploy_epoch_records_pre_act_deployment(self):
         # Every record describes the deployment that served the epoch;

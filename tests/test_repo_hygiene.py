@@ -69,3 +69,18 @@ def test_every_public_function_and_class_documented():
                         f"{path.relative_to(REPO)}::{node.name}"
                     )
     assert not undocumented, f"missing docstrings: {undocumented}"
+
+
+@pytest.mark.parametrize(
+    "module", ["policy", "protocol", "registry", "traces", "loop"]
+)
+def test_control_reexports_every_public_name(module):
+    """``repro.control`` resolves each name its submodules export."""
+    import importlib
+
+    import repro.control as control
+
+    submodule = importlib.import_module(f"repro.control.{module}")
+    for name in submodule.__all__:
+        assert getattr(control, name) is getattr(submodule, name), name
+        assert name in control.__all__, name
